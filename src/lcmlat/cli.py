@@ -79,10 +79,6 @@ def _config(args) -> Config:
                 raise InvalidInput(f"cannot parse field {field!r}")
             cfg.field = ("GF", int(digits))
         cfg.validate_field()
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise InvalidInput("--threads must be positive")
-        cfg.threads = args.threads
     if getattr(args, "long_run", False):
         cfg.long_run = True
     return cfg
@@ -205,19 +201,15 @@ def _cmd_radical(args):
     _emit(args, _obj_to_json(_mono.radical(obj)))
 
 
-def _variables_of(obj):
-    return obj.variables
-
-
 def _cmd_colon(args):
     obj = _obj_from(_load(args.input))
-    by = _mono.parse_monomial(args.by, _variables_of(obj))
+    by = _mono.parse_monomial(args.by, obj.variables)
     _emit(args, _obj_to_json(_mono.colon(obj, by)))
 
 
 def _cmd_restrict(args):
     obj = _obj_from(_load(args.input))
-    variables = _variables_of(obj)
+    variables = obj.variables
     if args.var in variables:
         idx = variables.index(args.var)
     else:
@@ -331,7 +323,6 @@ def _build_parser():
             p.add_argument(pos)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--field", help="Q (default) or a prime like GF:5")
-        p.add_argument("--threads", type=int, help="accepted; execution is sequential")
         p.set_defaults(fn=fn)
         return p
 

@@ -5,21 +5,9 @@ defaults are deliberately desk-scale.  Field arithmetic for Betti numbers is
 exact rationals by default, GF(p) on request.
 """
 
-import os
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 from .errors import InvalidInput
-
-
-def _threads_from_env():
-    raw = os.environ.get("LCMLAT_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        raise InvalidInput(f"LCMLAT_THREADS must be a positive integer, got {raw!r}")
-    if t < 1:
-        raise InvalidInput(f"LCMLAT_THREADS must be a positive integer, got {raw!r}")
-    return t
 
 
 @dataclass
@@ -40,8 +28,6 @@ class Config:
     canon_perm_cap: int = 100000
     # census at atom_cap itself must be requested explicitly
     long_run: bool = False
-    # accepted for interface compatibility; execution is sequential
-    threads: int = _dc_field(default_factory=_threads_from_env)
 
     def validate_field(self):
         f = self.field

@@ -1,9 +1,9 @@
 """Finite join-semilattices and the surgery used on them.
 
 A Semilattice stores the full order relation as a boolean matrix plus a join
-table.  There is always a unique top; a bottom is NOT assumed (the virtual
-bottom that some formulas need is handled by the callers, it is never stored
-as an element).  Elements are integer indices; labels are cosmetic.
+table, which Semilattice.from_leq alone derives from the order.  There is
+always a unique top; a bottom is NOT assumed (the virtual bottom that some
+formulas need is handled by the callers, it is never stored as an element).  Elements are integer indices; labels are cosmetic.
 
 Surgery: pseudo-inverses of surjective join-preserving maps, collapse of a
 meet-irreducible element onto its unique cover, and factoring an arbitrary
@@ -43,7 +43,6 @@ def _bits(mask):
 
 def _closure(leq):
     """Reflexive-transitive closure of a boolean relation, in place."""
-    n = leq.shape[0]
     np.fill_diagonal(leq, True)
     while True:
         nxt = leq | _bool_matmul(leq, leq)
@@ -52,25 +51,28 @@ def _closure(leq):
         leq = nxt
 
 
-def _least_upper_bounds(upper, popcount):
-    """Join table from upper-set bitmasks; raises if some pair has no lub."""
+def _least_upper_bounds(upper):
+    """Join table from upper-set bitmasks of a reflexive, transitive relation.
+
+    a v b is the element whose upper set is exactly upper[a] & upper[b]: such
+    an element lies in the common upper set and below all of it.  Raises
+    CyclicRelation if two elements share an upper set and NotASemilattice if
+    some pair has no least upper bound.
+    """
     n = len(upper)
-    join = np.zeros((n, n), dtype=np.int32)
+    by_upper = {}
+    for i, m in enumerate(upper):
+        j = by_upper.setdefault(m, i)
+        if j != i:
+            raise CyclicRelation(j, i)
+    join = np.empty((n, n), dtype=np.int32)
     for a in range(n):
-        join[a, a] = a
         ua = upper[a]
-        for b in range(a + 1, n):
-            common = ua & upper[b]
-            if common == 0:
-                raise NotASemilattice(a, b)
-            best, best_pop = -1, -1
-            for j in _bits(common):
-                if popcount[j] > best_pop:
-                    best, best_pop = j, popcount[j]
-            # the least member of `common` has the strictly largest upper set
-            if common & ~upper[best]:
-                raise NotASemilattice(a, b)
-            join[a, b] = join[b, a] = best
+        row = [by_upper.get(ua & ub) for ub in upper[a:]]
+        if None in row:
+            raise NotASemilattice(a, a + row.index(None))
+        join[a, a:] = row
+        join[a:, a] = row
     return join
 
 
@@ -95,8 +97,6 @@ class Semilattice:
     def from_relations(cls, labels, pairs, config: Config = DEFAULT):
         """Build from (lower, upper) pairs; closure is taken, joins verified."""
         n = len(labels)
-        if n == 0:
-            raise InvalidInput("a semilattice needs at least one element")
         if n > config.element_cap:
             raise LimitExceeded(f"{n} elements exceeds cap {config.element_cap}")
         leq = np.zeros((n, n), dtype=bool)
@@ -104,23 +104,28 @@ class Semilattice:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise InvalidInput(f"relation ({lo},{hi}) out of range")
             leq[lo, hi] = True
-        leq = _closure(leq)
-        cyc = leq & leq.T & ~np.eye(n, dtype=bool)
-        if cyc.any():
-            a, b = map(int, np.argwhere(cyc)[0])
-            raise CyclicRelation(a, b)
-        return cls.from_leq(labels, leq, config)
+        return cls.from_leq(labels, _closure(leq), config)
 
     @classmethod
     def from_leq(cls, labels, leq, config: Config = DEFAULT):
-        """Build from a (already transitively closed) order matrix."""
+        """Build from a transitively closed order matrix.
+
+        This is the one place a join table is derived and checked: every other
+        constructor builds an order matrix and calls this one.  The order must
+        be reflexive (else InvalidInput) and antisymmetric (else
+        CyclicRelation), and every pair needs a least upper bound (else
+        NotASemilattice).  Transitivity is the caller's promise;
+        from_relations takes the closure.
+        """
         n = len(labels)
+        if n == 0:
+            raise InvalidInput("a semilattice needs at least one element")
         if n > config.element_cap:
             raise LimitExceeded(f"{n} elements exceeds cap {config.element_cap}")
         leq = np.asarray(leq, dtype=bool)
-        upper = [_row_mask(leq[i]) for i in range(n)]
-        pop = [m.bit_count() for m in upper]
-        join = _least_upper_bounds(upper, pop)
+        if leq.shape != (n, n) or not leq.diagonal().all():
+            raise InvalidInput("the order must be a reflexive relation on the labels")
+        join = _least_upper_bounds([_row_mask(leq[i]) for i in range(n)])
         return cls(labels, leq, join, _validated=True)
 
     @classmethod
@@ -132,12 +137,9 @@ class Semilattice:
             raise InvalidInput("join table shape mismatch")
         if not np.array_equal(join, join.T):
             raise NotASemilattice(*map(int, np.argwhere(join != join.T)[0]))
-        if any(join[i, i] != i for i in range(n)):
+        leq = join == np.arange(n)  # a <= b  <=>  a v b = b
+        if not leq.diagonal().all():
             raise InvalidInput("join table is not idempotent")
-        leq = np.zeros((n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                leq[a, b] = join[a, b] == b
         if not np.array_equal(leq, _closure(leq.copy())):
             raise InvalidInput("join table induces a non-transitive order")
         built = cls.from_leq(labels, leq, config)
@@ -145,18 +147,6 @@ class Semilattice:
             bad = np.argwhere(built.join != join)[0]
             raise NotASemilattice(int(bad[0]), int(bad[1]))
         return built
-
-    @classmethod
-    def _trusted(cls, labels, leq, join):
-        """For constructions whose correctness is a theorem; spot-checked in debug."""
-        lat = cls(labels, leq, join, _validated=True)
-        assert lat.n > 64 or lat._self_check()
-        return lat
-
-    def _self_check(self):
-        upper = self.upper_masks
-        pop = [m.bit_count() for m in upper]
-        return np.array_equal(self.join, _least_upper_bounds(upper, pop))
 
     # ---------------- derived structure ----------------
 
@@ -273,13 +263,11 @@ def boolean_semilattice(k, config: Config = DEFAULT):
     if n > config.element_cap:
         raise LimitExceeded(f"2^{k}-1 elements exceeds cap {config.element_cap}")
     labels = ["{" + ",".join(str(t + 1) for t in _bits(m + 1)) + "}" for m in range(n)]
-    leq = np.zeros((n, n), dtype=bool)
-    join = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(n):
-            leq[a, b] = (a + 1) | (b + 1) == b + 1
-            join[a, b] = ((a + 1) | (b + 1)) - 1
-    return Semilattice._trusted(labels, leq, join)
+    m = np.arange(1, n + 1)
+    leq = np.empty((n, n), dtype=bool)
+    for i in range(n):  # row by row: an n x n integer broadcast raises peak memory
+        leq[i] = (m | m[i]) == m
+    return Semilattice.from_leq(labels, leq, config)
 
 
 # ---------------- reports ----------------
@@ -417,18 +405,13 @@ def collapse(lat: Semilattice, a: int, config: Config = DEFAULT):
         raise NotMeetIrreducible(a)
     ap = lat.upper_covers[a][0]
     keep = [x for x in range(lat.n) if x != a]
+    # the quotient's order is the order restricted to every element but a
+    quot = Semilattice.from_leq(
+        [lat.labels[x] for x in keep], lat.leq[np.ix_(keep, keep)], config
+    )
     new_index = {x: i for i, x in enumerate(keep)}
-
-    def rep(x):
-        return ap if x == a else x
-
-    m = len(keep)
-    table = np.zeros((m, m), dtype=np.int32)
-    for i, x in enumerate(keep):
-        for j, y in enumerate(keep):
-            table[i, j] = new_index[rep(int(lat.join[x, y]))]
-    quot = Semilattice.from_join_table([lat.labels[x] for x in keep], table, config)
-    pi = JoinMap(lat, quot, [new_index[rep(x)] for x in range(lat.n)])
+    new_index[a] = new_index[ap]
+    pi = JoinMap(lat, quot, [new_index[x] for x in range(lat.n)])
     return quot, pi
 
 

@@ -295,15 +295,8 @@ def lcm_semilattice(gens: GeneratorSet, config: Config = DEFAULT) -> LcmLattice:
     leq = np.zeros((n, n), dtype=bool)
     for i in range(n):
         leq[i] = np.all(E >= E[i], axis=1)
-    index = {m.exps: i for i, m in enumerate(monos)}
-    join = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        big = np.maximum(E, E[i])
-        for j in range(i, n):
-            join[i, j] = join[j, i] = index[tuple(int(x) for x in big[j])]
     labels = [render_monomial(m, gens.variables) for m in monos]
-    lat = Semilattice._trusted(labels, leq, join)
-    return LcmLattice(lat, tuple(monos))
+    return LcmLattice(Semilattice.from_leq(labels, leq, config), tuple(monos))
 
 
 # ---------------- weights ----------------

@@ -19,6 +19,7 @@ from .monomials import (
     Weighting,
     lcm_semilattice,
     m_coprime,
+    reconstruct,
     weight_map,
 )
 
@@ -59,28 +60,22 @@ def realize(lat: Semilattice, w: Weighting, config: Config = DEFAULT) -> Realiza
     ok, witness = validate_weighting(lat, w)
     if not ok:
         raise InvalidWeighting(witness)
-    labeling = []
-    for m in range(lat.n):
-        acc = w.bottom
-        for q in range(lat.n):
-            if not lat.leq[m, q]:
-                acc = acc.mul(w.weights[q])
-        labeling.append(acc)
+    labeling = [reconstruct(w, m) for m in range(lat.n)]
     gens = GeneratorSet(w.variables, labeling)
     _assert_roundtrip(lat, w, gens, labeling, config)
     return Realization(gens, tuple(labeling))
 
 
 def _assert_roundtrip(lat, w, gens, labeling, config):
-    closure = lcm_semilattice(gens, config)
+    back = weight_map(gens, config)
+    index = {m.exps: i for i, m in enumerate(back.monomials)}
     assert len(set(m.exps for m in labeling)) == lat.n, "realized monomials collide"
-    assert set(m.exps for m in closure.monomials) == set(m.exps for m in labeling)
+    assert set(index) == set(m.exps for m in labeling)
     for a in range(lat.n):
         for b in range(lat.n):
             assert bool(lat.leq[a, b]) == labeling[a].divides(labeling[b])
-    back = weight_map(gens, config)
     for m in range(lat.n):
-        idx = closure.index_of(labeling[m])
+        idx = index[labeling[m].exps]
         assert back.weights[idx] == w.weights[m], "weights do not survive the round trip"
     assert back.bottom == w.bottom
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .config import DEFAULT, Config
 from .errors import InvalidInput, LimitExceeded, NotSurjective
-from .monomials import QuotientPair, union_generators
+from .monomials import QuotientPair, lcm_semilattice, union_generators
 
 
 def rank_exact(rows, ncols):
@@ -163,11 +163,7 @@ def taylor_betti_multiset(verts, jflags, nvars, config: Config = DEFAULT) -> Bet
         betti.pop()
     assert betti, "a non-zero module has a non-trivial resolution"
     pdim = len(betti) - 1
-    return BettiTable(tuple(betti), pdim, nvars - pdim, nvars, _field_label(config))
-
-
-def _field_label(config):
-    return "Q" if config.field == "Q" else f"GF({config.field[1]})"
+    return BettiTable(tuple(betti), pdim, nvars - pdim, nvars, config.field_label())
 
 
 def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
@@ -219,15 +215,14 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     map and must agree when it is bijective.
     """
     from .lattice import JoinMap
-    from .monomials import lcm_semilattice
 
     src = lcm_semilattice(union_generators(pair_a.minimalize()), config)
     tgt = lcm_semilattice(union_generators(pair_b.minimalize()), config)
     delta = JoinMap(src.lattice, tgt.lattice, image)
     if not delta.is_surjective:
         raise NotSurjective("the joint-lattice map must be onto")
-    sub_src = _sublattice_indices(src, pair_a.j)
-    sub_tgt = _sublattice_indices(tgt, pair_b.j)
+    sub_src = _sublattice_indices(src, pair_a.j, config)
+    sub_tgt = _sublattice_indices(tgt, pair_b.j, config)
     if {delta.image[s] for s in sub_src} != sub_tgt:
         raise InvalidInput("the map must carry the denominator lattice onto its twin")
 
@@ -245,27 +240,10 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     return MapCheck(bij, ba.pdim, bb.pdim, pdim_ok, sa.spdim, sb.spdim, spdim_ok)
 
 
-def _sublattice_indices(lcmlat, denom):
+def _sublattice_indices(lcmlat, denom, config):
     """Indices of the joint-lattice elements generated by the denominator's gens."""
     if not denom.gens:
         return set()
-    monos = list(dict.fromkeys(denom.gens))
-    seen = set(m.exps for m in monos)
-    frontier = list(monos)
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in monos:
-                l = m.lcm(g)
-                if l.exps not in seen:
-                    seen.add(l.exps)
-                    fresh.append(l)
-        frontier = fresh
-    from .monomials import Monomial
-
-    out = set()
-    for e in seen:
-        idx = lcmlat.index_of(Monomial(e))
-        assert idx is not None
-        out.add(idx)
+    out = {lcmlat.index_of(m) for m in lcm_semilattice(denom, config).monomials}
+    assert None not in out
     return out

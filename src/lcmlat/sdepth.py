@@ -17,6 +17,7 @@ from itertools import product
 
 from .config import DEFAULT, Config
 from .errors import LimitExceeded
+from .lattice import _bits
 from .monomials import QuotientPair, union_generators
 
 _FAIL_CACHE_CAP = 1 << 18
@@ -178,13 +179,6 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
     assert ok and achieved >= value
     nvars = len(poset.variables)
     return SdepthReport(value, nvars - value, nvars, poset.ceiling, n, intervals)
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def verify_decomposition(poset: CharacteristicPoset, intervals):

@@ -264,14 +264,6 @@ def test_out_flag_and_determinism(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_threads_flag(tmp_path, capsys):
-    src = _write(tmp_path, "i.json", TWO_VARS)
-    code, _, _ = _run(["sdepth", src, "--threads", "2"], capsys)
-    assert code == 0
-    code, _, _ = _run(["sdepth", src, "--threads", "0"], capsys)
-    assert code == 1
-
-
 def test_console_script_installed():
     import shutil
     import subprocess

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +57,74 @@ def test_join_table_checked():
     bad[0, 1] = 0  # {1} v {2} must be the top
     with pytest.raises((NotASemilattice, InvalidInput)):
         Semilattice.from_join_table(list(b2.labels), bad)
+
+
+def test_from_leq_rejects_non_orders():
+    with pytest.raises(InvalidInput):
+        Semilattice.from_leq(["a", "b"], [[0, 1], [0, 1]])  # a <= a missing
+    with pytest.raises(CyclicRelation):
+        Semilattice.from_leq(["a", "b"], [[1, 1], [1, 1]])
+
+
+_OPTIMIZED_CHECKS = textwrap.dedent("""
+    from lcmlat import (CyclicRelation, InvalidInput, NotASemilattice,
+                        Semilattice, boolean_semilattice)
+    if __debug__:
+        raise SystemExit("asserts are still on")
+    b2 = boolean_semilattice(2)
+    bad = b2.join.copy()
+    bad[0, 1] = 0
+    try:
+        Semilattice.from_join_table(list(b2.labels), bad)
+        raise SystemExit("bad join table accepted")
+    except (NotASemilattice, InvalidInput):
+        pass
+    try:
+        Semilattice.from_leq(["a", "b"], [[1, 1], [1, 1]])
+        raise SystemExit("cyclic order accepted")
+    except CyclicRelation:
+        pass
+""")
+
+
+def test_validation_survives_optimized_python():
+    import lcmlat
+
+    src = str(Path(lcmlat.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_boolean_joins_are_unions():
+    for k in range(1, 5):
+        bk = boolean_semilattice(k)
+        for a in range(bk.n):
+            for b in range(bk.n):
+                assert bk.join[a, b] == ((a + 1) | (b + 1)) - 1
+
+
+def _remapped_join(lat, a):
+    """Join table of collapse(lat, a) read off lat.join, a sent to its cover."""
+    keep = [x for x in range(lat.n) if x != a]
+    new_index = {x: i for i, x in enumerate(keep)}
+    new_index[a] = new_index[lat.upper_covers[a][0]]
+    return [[new_index[int(lat.join[x, y])] for y in keep] for x in keep]
+
+
+def test_collapse_joins_match_remapped_table():
+    def walk(lat, depth):
+        for a in lat.meet_irreducibles:
+            if a in lat.atoms:
+                continue
+            quot, _ = collapse(lat, a)
+            assert quot.join.tolist() == _remapped_join(lat, a)
+            if depth > 1:
+                walk(quot, depth - 1)
+
+    walk(boolean_semilattice(3), 2)
 
 
 def test_boolean_structure():

@@ -223,6 +223,18 @@ def test_reconstruct_is_inverse_on_randoms(rng):
             assert reconstruct(w, i) == m
 
 
+def test_lcm_semilattice_joins_are_lcms(rng):
+    from conftest import random_ideal
+
+    for _ in range(60):
+        lam = lcm_semilattice(random_ideal(rng))
+        monos = lam.monomials
+        for i in range(len(monos)):
+            for j in range(len(monos)):
+                want = lam.index_of(monos[i].lcm(monos[j]))
+                assert lam.lattice.join[i, j] == want
+
+
 def test_squarefree_check():
     ok, _ = squarefree_check(gens(("x", "y", "z"), "x*y", "y*z"))
     assert ok
