@@ -31,7 +31,6 @@ from .lattice import (
     Semilattice,
     StructureReport,
     boolean_semilattice,
-    build_semilattice,
     canonical_form,
     collapse,
     factor_chain,
@@ -95,7 +94,6 @@ from .resolution import (
     rank_exact,
     rank_mod_p,
     taylor_betti,
-    taylor_betti_multiset,
 )
 from .sdepth import (
     CharacteristicPoset,

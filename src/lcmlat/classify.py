@@ -1,20 +1,22 @@
 """Census of atomistic join-semilattices on a fixed atom count.
 
-Every atomistic semilattice with k atoms is a quotient of the boolean
-semilattice on k subsets by a chain of meet-irreducible collapses, and
-collapsing above the atoms keeps atomisticity, so breadth-first collapse
-closure from the boolean semilattice visits every isomorphism class.
-Duplicates are cut by canonical form.  Each class is realized canonically as
-a squarefree monomial ideal and measured: projective dimension and Stanley
-projective dimension of both the ideal and its quotient ring.
-"""
+An atomistic semilattice on k atoms is a Moore family of atom bitmasks: it
+holds every singleton and the full set and is closed under non-empty
+intersection.  Collapsing a meet-irreducible above the atoms drops one member
+and keeps such a family, so the breadth-first walk of these drops from the
+boolean family visits every isomorphism class; duplicates are cut by the
+family's canonical form.  Each class is realized canonically as a squarefree
+monomial ideal and measured: projective dimension and Stanley projective
+dimension of both the ideal and its quotient ring."""
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .config import DEFAULT, Config
 from .errors import LimitExceeded, NotAtomistic
-from .lattice import Semilattice, boolean_semilattice, canonical_form, collapse
+from .lattice import Semilattice, _canon_family, boolean_semilattice, family_semilattice
 from .monomials import GeneratorSet, Monomial, Weighting
 from .realize import canonical_realization, realize
 from .resolution import taylor_betti
@@ -28,24 +30,25 @@ def enumerate_atomistic(k: int, config: Config = DEFAULT):
     if k >= 5 and not config.long_run:
         raise LimitExceeded("a census this large must be requested explicitly")
     root = boolean_semilattice(k, config)
-    key = canonical_form(root, config)
+    full = (1 << k) - 1
+    family = tuple(range(1, full + 1))
+    key = _canon_family(family, k)
     seen = {key}
-    frontier = [root]
+    frontier = [family]
     yield key, root
     while frontier:
         nxt = []
-        for lat in frontier:
-            atoms = set(lat.atoms)
-            for a in lat.meet_irreducibles:
-                if a in atoms:
-                    continue  # collapsing an atom would break atomisticity
-                quot, _ = collapse(lat, a, config)
-                assert quot.is_atomistic and len(quot.atoms) == k
-                qkey = canonical_form(quot, config)
-                if qkey not in seen:
-                    seen.add(qkey)
-                    nxt.append(quot)
-                    yield qkey, quot
+        for family in frontier:
+            for a in family:
+                above = [b for b in family if b & a == a and b != a]
+                if a & (a - 1) == 0 or reduce(and_, above, full) == a:
+                    continue  # atoms stay; the meet of the members above a is reducible
+                child = tuple(b for b in family if b != a)
+                ckey = _canon_family(child, k)
+                if ckey not in seen:
+                    seen.add(ckey)
+                    nxt.append(child)
+                    yield ckey, family_semilattice(child, config)
         frontier = nxt
 
 

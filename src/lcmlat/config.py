@@ -22,8 +22,6 @@ class Config:
     field: object = "Q"
     # atom-count ceiling for the census
     atom_cap: int = 5
-    # atom permutations for canonical forms of atomistic semilattices
-    atom_perm_cap: int = 7
     # permutation budget for the general canonization fallback
     canon_perm_cap: int = 100000
     # census at atom_cap itself must be requested explicitly

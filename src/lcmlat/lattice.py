@@ -12,7 +12,7 @@ surjection into such collapses.
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -84,7 +84,7 @@ class Semilattice:
             raise InvalidInput("use the from_* constructors")
         self.n = len(labels)
         self.labels = tuple(str(x) for x in labels)
-        leq = np.asarray(leq, dtype=bool)
+        leq = np.array(leq, dtype=bool)
         leq.flags.writeable = False
         self.leq = leq
         join = np.asarray(join, dtype=np.int32)
@@ -251,10 +251,6 @@ def _row_mask(row):
     return m
 
 
-def build_semilattice(labels, pairs, config: Config = DEFAULT):
-    return Semilattice.from_relations(labels, pairs, config)
-
-
 def boolean_semilattice(k, config: Config = DEFAULT):
     """All non-empty subsets of {1..k} under union; element i <-> bitmask i+1."""
     if k < 1:
@@ -262,10 +258,16 @@ def boolean_semilattice(k, config: Config = DEFAULT):
     n = (1 << k) - 1
     if n > config.element_cap:
         raise LimitExceeded(f"2^{k}-1 elements exceeds cap {config.element_cap}")
-    labels = ["{" + ",".join(str(t + 1) for t in _bits(m + 1)) + "}" for m in range(n)]
-    m = np.arange(1, n + 1)
-    leq = np.empty((n, n), dtype=bool)
-    for i in range(n):  # row by row: an n x n integer broadcast raises peak memory
+    return family_semilattice(range(1, n + 1), config)
+
+
+def family_semilattice(family, config: Config = DEFAULT):
+    """A Moore family of atom bitmasks under inclusion; masks ascending, labels "{1,3}"."""
+    masks = sorted(family)
+    labels = ["{" + ",".join(str(t + 1) for t in _bits(m)) + "}" for m in masks]
+    m = np.array(masks)
+    leq = np.empty((len(masks), len(masks)), dtype=bool)
+    for i in range(len(masks)):  # row by row: an n x n integer broadcast raises peak memory
         leq[i] = (m | m[i]) == m
     return Semilattice.from_leq(labels, leq, config)
 
@@ -460,28 +462,38 @@ def factor_chain(phi: JoinMap):
 # ---------------- canonical forms ----------------
 
 
+# atom count up to which a canonical form tries every atom permutation
+ATOM_PERM_CAP = 7
+
+
 def canonical_form(lat: Semilattice, config: Config = DEFAULT) -> bytes:
     """Isomorphism-invariant byte string; equal strings iff isomorphic lattices."""
     k = len(lat.atoms)
-    if lat.is_atomistic and k <= config.atom_perm_cap:
-        return _canon_atomistic(lat, k)
+    if lat.is_atomistic and k <= ATOM_PERM_CAP:
+        return _canon_family(lat.atom_sets, k)
     return _canon_general(lat, config)
 
 
-def _canon_atomistic(lat, k):
-    family = lat.atom_sets
-    best = None
-    for perm in itertools.permutations(range(k)):
-        remap = [0] * (1 << k)
-        bit = [1 << perm[t] for t in range(k)]
-        for m in range(1, 1 << k):
-            low = m & -m
-            remap[m] = remap[m ^ low] | bit[low.bit_length() - 1]
-        cand = tuple(sorted(remap[m] for m in family))
-        if best is None or cand < best:
-            best = cand
+def _canon_family(family, k):
+    """Canonical form of a family of atom bitmasks: its least relabeling, sorted."""
+    if k > ATOM_PERM_CAP:
+        raise LimitExceeded(f"{k} atoms exceed the {ATOM_PERM_CAP} of the atom-permutation canonizer")
+    best = min(tuple(sorted(map(remap.__getitem__, family))) for remap in _relabelings(k))
     body = ",".join(format(m, "x") for m in best)
     return f"A{k};{body}".encode()
+
+
+@cache
+def _relabelings(k):
+    """Per atom permutation, the table sending each atom bitmask to its image."""
+    tables = []
+    for perm in itertools.permutations(range(k)):
+        remap = [0] * (1 << k)
+        for m in range(1, 1 << k):
+            low = m & -m
+            remap[m] = remap[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(tuple(remap))
+    return tuple(tables)
 
 
 def _refined_colors(lat):
@@ -563,7 +575,7 @@ def lattice_from_json(doc, config: Config = DEFAULT) -> Semilattice:
         covers = [(int(a), int(b)) for a, b in doc["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad lattice document: {exc}")
-    return build_semilattice(labels, covers, config)
+    return Semilattice.from_relations(labels, covers, config)
 
 
 def lattice_to_dot(lat: Semilattice) -> str:

@@ -78,9 +78,6 @@ class Monomial:
     def degree(self):
         return sum(self.exps)
 
-    def support(self):
-        return tuple(j for j, e in enumerate(self.exps) if e > 0)
-
     def is_unit(self):
         return all(e == 0 for e in self.exps)
 
@@ -148,9 +145,6 @@ class GeneratorSet:
     @property
     def nvars(self):
         return len(self.variables)
-
-    def is_zero(self):
-        return not self.gens
 
     def contains(self, m: Monomial) -> bool:
         """Ideal membership."""
@@ -311,9 +305,6 @@ class Weighting:
     bottom: Monomial
     weights: tuple
     monomials: Optional[tuple] = None  # element labels, when they are known
-
-    def degree_at(self, idx):
-        return self.weights[idx].degree()
 
 
 def weight_map(gens: GeneratorSet, config: Config = DEFAULT) -> Weighting:

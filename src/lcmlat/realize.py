@@ -17,7 +17,6 @@ from .monomials import (
     GeneratorSet,
     Monomial,
     Weighting,
-    lcm_semilattice,
     m_coprime,
     reconstruct,
     weight_map,
@@ -175,16 +174,16 @@ def single_degree_pair(pair, config: Config = DEFAULT):
     slim = pair.minimalize()
     union = union_generators(slim)
     base = weight_map(union, config)
-    closure = lcm_semilattice(union, config)
-    targets = [closure.index_of(g) for g in slim.i.gens]
+    index = {m.exps: i for i, m in enumerate(base.monomials)}
+    targets = [index.get(g.exps) for g in slim.i.gens]
     if any(t is None for t in targets):
         raise InvalidInput("minimal generators must appear in the joint lattice")
-    w = equalize_degrees(closure.lattice, targets, start=base, config=config)
-    real = realize(closure.lattice, w, config)
+    w = equalize_degrees(base.lattice, targets, start=base, config=config)
+    real = realize(base.lattice, w, config)
     new_i = GeneratorSet(real.gens.variables, [real.labeling[t] for t in targets])
     new_j = GeneratorSet(
         real.gens.variables,
-        [real.labeling[closure.index_of(g)] for g in slim.j.gens],
+        [real.labeling[index[g.exps]] for g in slim.j.gens],
     )
     degs = {g.degree() for g in new_i.gens}
     assert len(degs) == 1, "numerator must end up in a single degree"

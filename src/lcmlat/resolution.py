@@ -106,18 +106,18 @@ def _colex(n, k):
     return sorted(combinations(range(n), k), key=lambda s: tuple(reversed(s)))
 
 
-def taylor_betti_multiset(verts, jflags, nvars, config: Config = DEFAULT) -> BettiTable:
-    """Betti numbers from an explicit generator multiset with denominator flags."""
+def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
+    """Betti numbers, projective dimension and depth of I/J."""
+    pair.require_proper()
+    iset = set(pair.i.gens)
+    jset = set(pair.j.gens)
+    verts = list(pair.i.gens) + [g for g in pair.j.gens if g not in iset]
+    nvars = pair.i.nvars
     n = len(verts)
-    if n == 0:
-        raise InvalidInput("no generators")
     if 1 << n > config.subset_cap:
         raise LimitExceeded(f"2^{n} subsets exceed cap {config.subset_cap}")
     exps = [v.exps for v in verts]
-    jmask = 0
-    for i, f in enumerate(jflags):
-        if f:
-            jmask |= 1 << i
+    jmask = sum(1 << i for i, g in enumerate(verts) if g in jset)
     lcm_of = {0: (0,) * nvars}
     for m in range(1, 1 << n):
         low = m & -m
@@ -166,16 +166,6 @@ def taylor_betti_multiset(verts, jflags, nvars, config: Config = DEFAULT) -> Bet
     return BettiTable(tuple(betti), pdim, nvars - pdim, nvars, config.field_label())
 
 
-def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
-    """Betti numbers, projective dimension and depth of I/J."""
-    pair.require_proper()
-    iset = set(pair.i.gens)
-    jset = set(pair.j.gens)
-    verts = list(pair.i.gens) + [g for g in pair.j.gens if g not in iset]
-    flags = [g in jset for g in verts]
-    return taylor_betti_multiset(verts, flags, pair.i.nvars, config)
-
-
 def pdim_ideal(gens, config: Config = DEFAULT) -> BettiTable:
     from .monomials import ideal_pair
 
@@ -216,8 +206,9 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     """
     from .lattice import JoinMap
 
-    src = lcm_semilattice(union_generators(pair_a.minimalize()), config)
-    tgt = lcm_semilattice(union_generators(pair_b.minimalize()), config)
+    pair_a, pair_b = pair_a.minimalize(), pair_b.minimalize()
+    src = lcm_semilattice(union_generators(pair_a), config)
+    tgt = lcm_semilattice(union_generators(pair_b), config)
     delta = JoinMap(src.lattice, tgt.lattice, image)
     if not delta.is_surjective:
         raise NotSurjective("the joint-lattice map must be onto")
@@ -226,8 +217,8 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     if {delta.image[s] for s in sub_src} != sub_tgt:
         raise InvalidInput("the map must carry the denominator lattice onto its twin")
 
-    ba = taylor_betti(pair_a.minimalize(), config)
-    bb = taylor_betti(pair_b.minimalize(), config)
+    ba = taylor_betti(pair_a, config)
+    bb = taylor_betti(pair_b, config)
     bij = delta.is_bijective
     pdim_ok = ba.pdim == bb.pdim if bij else ba.pdim >= bb.pdim
     if not with_sdepth:

@@ -183,24 +183,20 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
 
 def verify_decomposition(poset: CharacteristicPoset, intervals):
     """(ok, value): intervals must tile the poset exactly; value is min ceiling count."""
-    index = {p: i for i, p in enumerate(poset.points)}
-    up, down = _interval_masks(poset.points)
-    seen = 0
+    points = set(poset.points)
+    seen = set()
     value = None
     for a, b in intervals:
         a, b = tuple(a), tuple(b)
-        if a not in index or b not in index:
+        if a not in points or b not in points or any(x > y for x, y in zip(a, b)):
             return False, None
-        ia, ib = index[a], index[b]
-        if not up[ia] & (1 << ib):
-            return False, None
-        cover = up[ia] & down[ib]
-        if cover & seen:
-            return False, None
-        seen |= cover
+        for p in product(*(range(x, y + 1) for x, y in zip(a, b))):
+            if p not in points or p in seen:
+                return False, None
+            seen.add(p)
         r = poset.ceiling_count(b)
         value = r if value is None else min(value, r)
-    if seen != (1 << poset.size) - 1:
+    if len(seen) != poset.size:
         return False, None
     return True, value
 

@@ -1,15 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
 from lcmlat import (
     LimitExceeded,
     NotAtomistic,
+    Semilattice,
     boolean_semilattice,
-    build_semilattice,
     canonical_form,
     census,
     check_conjectures,
+    collapse,
     enumerate_atomistic,
     lattice_invariants,
     random_weighting,
@@ -40,11 +42,47 @@ def test_census_matches_set_family_oracle():
         assert ours == theirs
 
 
+
+def _collapse_walk(k):
+    """The census by collapsing meet-irreducibles of whole Semilattices."""
+    root = boolean_semilattice(k)
+    seen = {canonical_form(root)}
+    frontier = [root]
+    yield canonical_form(root), root
+    while frontier:
+        nxt = []
+        for lat in frontier:
+            for a in lat.meet_irreducibles:
+                if a in lat.atoms:
+                    continue
+                quot, _ = collapse(lat, a)
+                assert quot.is_atomistic and len(quot.atoms) == k
+                key = canonical_form(quot)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(quot)
+                    yield key, quot
+        frontier = nxt
+
+
+def test_family_walk_matches_collapse_walk():
+    # same keys in the same order, and the same labels, order and joins
+    for k in range(1, 5):
+        ours = list(enumerate_atomistic(k))
+        ref = list(_collapse_walk(k))
+        assert [key for key, _ in ours] == [key for key, _ in ref]
+        for (_, lat), (_, want) in zip(ours, ref):
+            assert lat.labels == want.labels
+            assert np.array_equal(lat.leq, want.leq)
+            assert np.array_equal(lat.join, want.join)
+
 def test_atom_cap():
     with pytest.raises(LimitExceeded):
         list(enumerate_atomistic(0))
     with pytest.raises(LimitExceeded):
         list(enumerate_atomistic(99))
+    with pytest.raises(LimitExceeded):  # beyond the atom-permutation canonizer
+        list(enumerate_atomistic(8, Config(atom_cap=8, long_run=True)))
 
 
 def test_large_census_needs_long_run_flag():
@@ -68,7 +106,7 @@ def test_invariants_realization_independent(rng):
 
 
 def test_invariants_need_atomistic():
-    chain = build_semilattice(["a", "b", "c"], [(0, 1), (1, 2)])
+    chain = Semilattice.from_relations(["a", "b", "c"], [(0, 1), (1, 2)])
     with pytest.raises(NotAtomistic):
         lattice_invariants(chain)
 

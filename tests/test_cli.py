@@ -223,6 +223,20 @@ def test_check_map_command(tmp_path, capsys):
     assert doc["pdim_source"] == doc["pdim_target"]
 
 
+
+def test_check_map_with_non_minimal_denominator(tmp_path, capsys):
+    # J = (x^2, x^3) is not minimal; the joint lattice is x, y, x^2, xy, x^2*y
+    pair = {
+        "I": {"variables": ["x", "y"], "generators": [[1, 0], [0, 1]]},
+        "J": {"variables": ["x", "y"], "generators": [[2, 0], [3, 0]]},
+    }
+    a = _write(tmp_path, "a.json", pair)
+    m = _write(tmp_path, "m.json", {"image": list(range(5))})
+    code, out, err = _run(["check-map", a, a, m], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["bijective"] and doc["pdim_ok"]
+
 def test_exit_code_bad_input(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = _run(["lattice", missing], capsys)

@@ -18,7 +18,6 @@ from lcmlat import (
     NotSurjective,
     Semilattice,
     boolean_semilattice,
-    build_semilattice,
     canonical_form,
     collapse,
     factor_chain,
@@ -35,20 +34,20 @@ from lcmlat import (
 
 def diamondish():
     # two atoms joined at c, then a chain above: every join exists
-    return build_semilattice(
+    return Semilattice.from_relations(
         list("abcde"), [(0, 2), (1, 2), (2, 3), (3, 4)]
     )
 
 
 def test_build_rejects_cycles():
     with pytest.raises(CyclicRelation):
-        build_semilattice(["a", "b"], [(0, 1), (1, 0)])
+        Semilattice.from_relations(["a", "b"], [(0, 1), (1, 0)])
 
 
 def test_build_rejects_missing_joins():
     # two maximal elements above two minimal ones: no top, a v b undefined
     with pytest.raises(NotASemilattice):
-        build_semilattice(list("abcd"), [(0, 2), (1, 2), (0, 3), (1, 3)])
+        Semilattice.from_relations(list("abcd"), [(0, 2), (1, 2), (0, 3), (1, 3)])
 
 
 def test_join_table_checked():
@@ -65,6 +64,13 @@ def test_from_leq_rejects_non_orders():
     with pytest.raises(CyclicRelation):
         Semilattice.from_leq(["a", "b"], [[1, 1], [1, 1]])
 
+
+
+def test_from_leq_leaves_callers_matrix_writable():
+    leq = np.array([[True, True], [False, True]])
+    lat = Semilattice.from_leq(["a", "b"], leq)
+    leq[1, 0] = True  # the caller's array is still the caller's
+    assert not lat.leq[1, 0] and not lat.leq.flags.writeable
 
 _OPTIMIZED_CHECKS = textwrap.dedent("""
     from lcmlat import (CyclicRelation, InvalidInput, NotASemilattice,
@@ -151,13 +157,13 @@ def test_diamond_covers_and_joins():
     assert lat.join_of([0, 3]) == 3
     # the two-minimal-upper-bound shape must be refused
     with pytest.raises(NotASemilattice):
-        build_semilattice(
+        Semilattice.from_relations(
             list("abcde"), [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
         )
 
 
 def test_chain_meet_irreducibles():
-    chain = build_semilattice(list("abc"), [(0, 1), (1, 2)])
+    chain = Semilattice.from_relations(list("abc"), [(0, 1), (1, 2)])
     assert list(chain.meet_irreducibles) == [0, 1]
     assert chain.atoms == (0,)
     # a one-element semilattice has no meet-irreducibles at all
@@ -167,7 +173,7 @@ def test_chain_meet_irreducibles():
 def test_atom_sets_and_atomistic():
     b3 = boolean_semilattice(3)
     assert sorted(b3.atom_sets) == sorted(range(1, 8))
-    chain = build_semilattice(list("abc"), [(0, 1), (1, 2)])
+    chain = Semilattice.from_relations(list("abc"), [(0, 1), (1, 2)])
     assert not chain.is_atomistic
 
 
@@ -266,7 +272,7 @@ def test_free_cover_surjects_onto_collapses():
 
 
 def test_free_cover_needs_atomistic():
-    chain = build_semilattice(list("abc"), [(0, 1), (1, 2)])
+    chain = Semilattice.from_relations(list("abc"), [(0, 1), (1, 2)])
     with pytest.raises(NotAtomistic):
         free_cover_map(chain)
 
@@ -301,7 +307,7 @@ def test_canonical_form_collapsed(perm, which):
 
 def test_isomorphism_distinguishes():
     b3 = boolean_semilattice(3)
-    chain7 = build_semilattice(list("abcdefg"), [(i, i + 1) for i in range(6)])
+    chain7 = Semilattice.from_relations(list("abcdefg"), [(i, i + 1) for i in range(6)])
     assert not is_isomorphic(b3, chain7)
     assert is_isomorphic(b3, _relabel(b3, [3, 1, 4, 0, 6, 2, 5]))
     # collapse in two different symmetric positions gives isomorphic results
@@ -311,8 +317,8 @@ def test_isomorphism_distinguishes():
 
 
 def test_canonical_form_nonatomistic_path():
-    chain = build_semilattice(list("abc"), [(0, 1), (1, 2)])
-    vee = build_semilattice(list("abc"), [(0, 2), (1, 2)])
+    chain = Semilattice.from_relations(list("abc"), [(0, 1), (1, 2)])
+    vee = Semilattice.from_relations(list("abc"), [(0, 2), (1, 2)])
     key_chain = canonical_form(chain)
     key_vee = canonical_form(vee)
     assert key_chain != key_vee

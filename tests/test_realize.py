@@ -7,9 +7,9 @@ from lcmlat import (
     InvalidWeighting,
     Monomial,
     NotAntichain,
+    Semilattice,
     Weighting,
     boolean_semilattice,
-    build_semilattice,
     canonical_realization,
     canonical_weighting,
     collapse,
@@ -74,7 +74,7 @@ def test_realize_rejects_invalid():
 
 def test_realize_chain_with_heavy_bottom():
     # chain a < b, weight x at a, bottom x: gives (x^2, x) family, ideal (x)
-    chain = build_semilattice(["a", "b"], [(0, 1)])
+    chain = Semilattice.from_relations(["a", "b"], [(0, 1)])
     w = Weighting(chain, ("x",), Monomial((1,)), (Monomial((1,)), Monomial.one(1)))
     real = realize(chain, w)
     assert sorted(real.gens.render()) == ["x", "x^2"]
