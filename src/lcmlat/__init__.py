@@ -11,6 +11,7 @@ from .config import Config, DEFAULT
 from .errors import (
     CyclicRelation,
     EmptyModule,
+    InternalError,
     InvalidDeformation,
     InvalidInput,
     InvalidWeighting,

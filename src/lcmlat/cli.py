@@ -2,8 +2,9 @@
 
 Subcommands read JSON documents (ideal, quotient pair, lattice, weighting),
 write JSON reports, and map failures to exit codes: 1 for bad input, 2 for
-configured resource limits, 3 for internal assertion failures, which includes
-a census counterexample.  Output is byte-deterministic for fixed input.
+configured resource limits, 3 for internal errors and assertion failures,
+which include a census counterexample.  Output is byte-deterministic for
+fixed input.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import json
 import sys
 
 from .config import Config
-from .errors import InvalidInput, LcmlatError, LimitExceeded
+from .errors import InternalError, InvalidInput, LcmlatError, LimitExceeded
 from . import classify as _classify
 from . import lattice as _lattice
 from . import monomials as _mono
@@ -374,6 +375,9 @@ def main(argv=None):
     except LimitExceeded as exc:
         sys.stderr.write(f"limit: {exc}\n")
         raise SystemExit(2)
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        raise SystemExit(3)
     except (InvalidInput, LcmlatError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         raise SystemExit(1)

@@ -84,5 +84,9 @@ class EmptyModule(LcmlatError):
     """The two ideals of a quotient pair coincide, so the module is zero."""
 
 
+class InternalError(LcmlatError):
+    """A result failed its independent check: a bug, never a property of the input."""
+
+
 class LimitExceeded(LcmlatError):
     """A configured size cap would be exceeded; raised before work starts when possible."""

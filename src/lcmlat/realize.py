@@ -5,13 +5,13 @@ weights, every meet-irreducible carries a non-unit, and the top carries 1.
 The realization multiplies, for each element M, the weights of the bottom and
 of all elements not above M; the resulting generator set has the original
 lattice as its lcm-semilattice and the original weights as its standard
-weight map.  Both halves of that round trip are asserted here.
+weight map.  Both halves of that round trip are checked here.
 """
 
 from dataclasses import dataclass
 
 from .config import DEFAULT, Config
-from .errors import InvalidInput, InvalidWeighting, NotAntichain
+from .errors import InternalError, InvalidInput, InvalidWeighting, NotAntichain
 from .lattice import Semilattice
 from .monomials import (
     GeneratorSet,
@@ -61,22 +61,24 @@ def realize(lat: Semilattice, w: Weighting, config: Config = DEFAULT) -> Realiza
         raise InvalidWeighting(witness)
     labeling = [reconstruct(w, m) for m in range(lat.n)]
     gens = GeneratorSet(w.variables, labeling)
-    _assert_roundtrip(lat, w, gens, labeling, config)
+    _check_roundtrip(lat, w, gens, labeling, config)
     return Realization(gens, tuple(labeling))
 
 
-def _assert_roundtrip(lat, w, gens, labeling, config):
+def _check_roundtrip(lat, w, gens, labeling, config):
     back = weight_map(gens, config)
     index = {m.exps: i for i, m in enumerate(back.monomials)}
-    assert len(set(m.exps for m in labeling)) == lat.n, "realized monomials collide"
-    assert set(index) == set(m.exps for m in labeling)
+    exps = [m.exps for m in labeling]
+    if len(set(exps)) != lat.n or set(index) != set(exps):
+        raise InternalError("realized monomials collide or miss the lcm-lattice")
     for a in range(lat.n):
         for b in range(lat.n):
-            assert bool(lat.leq[a, b]) == labeling[a].divides(labeling[b])
-    for m in range(lat.n):
-        idx = index[labeling[m].exps]
-        assert back.weights[idx] == w.weights[m], "weights do not survive the round trip"
-    assert back.bottom == w.bottom
+            if bool(lat.leq[a, b]) != labeling[a].divides(labeling[b]):
+                raise InternalError("divisibility of the realization differs from the order")
+    if back.bottom != w.bottom or any(
+        back.weights[index[exps[m]]] != w.weights[m] for m in range(lat.n)
+    ):
+        raise InternalError("weights do not survive the round trip")
 
 
 def canonical_weighting(lat: Semilattice) -> Weighting:

@@ -10,13 +10,20 @@ interval of poset points never leaks outside the poset.
 The search fixes the least uncovered point in (degree, lex) order as the next
 interval's bottom and branches over tops of sufficient ceiling count, best
 candidates first, proving optimality by failing one level higher.
+
+Point sets are integer bitsets over the sorted points.  Per coordinate j and
+value v, threshold masks hold the points with p[j] >= v and those with
+p[j] <= v; the points above (below) p are the AND over j of the thresholds at
+p[j].  Level masks hold the points of each ceiling count, so the tops are
+walked level by level from the highest down, lowest index first.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from operator import or_
 
 from .config import DEFAULT, Config
-from .errors import LimitExceeded
+from .errors import InternalError, LimitExceeded
 from .lattice import _bits
 from .monomials import QuotientPair, union_generators
 
@@ -66,20 +73,20 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
 
 
 def _interval_masks(points):
-    """up[i], down[i] bitmasks of componentwise comparability."""
+    """up[i], down[i]: bitmasks of the points above and below point i."""
     n = len(points)
-    up = [0] * n
-    down = [0] * n
-    for i in range(n):
-        pi = points[i]
-        for j in range(i, n):
-            pj = points[j]
-            if all(a <= b for a, b in zip(pi, pj)):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-            elif all(a >= b for a, b in zip(pi, pj)):
-                down[i] |= 1 << j
-                up[j] |= 1 << i
+    up = [(1 << n) - 1] * n
+    down = list(up)
+    bit = [1 << i for i in range(n)]
+    for coord in zip(*points):
+        at = [0] * (max(coord) + 1)  # the points with p[j] == v
+        for i, v in enumerate(coord):
+            at[v] |= bit[i]
+        le = list(accumulate(at, or_))
+        ge = list(accumulate(reversed(at), or_))[::-1]
+        for i, v in enumerate(coord):
+            up[i] &= ge[v]
+            down[i] &= le[v]
     return up, down
 
 
@@ -87,47 +94,39 @@ def _lsb_index(mask):
     return (mask & -mask).bit_length() - 1
 
 
-def _cover_search(target, full, up, down, rho):
-    """A partition into intervals whose tops all reach `target`, or None."""
+def _cover_search(target, full, up, down, level):
+    """A partition into intervals whose tops all reach `target`, or None.
+
+    level[r] is the mask of the points of ceiling count r; the tops are tried
+    from the highest level down, lowest index first.
+    """
     fail = set()
+    reach = range(len(level) - 1, target - 1, -1)
 
     def candidates(a, uncovered):
-        m = up[a] & uncovered
-        ids = []
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if rho[j] >= target:
-                ids.append(j)
-            m ^= low
-        ids.sort(key=lambda j: (-rho[j], j))
-        return ids
+        above = up[a] & uncovered
+        for r in reach:
+            yield from _bits(above & level[r])
 
     chosen = []
     a0 = _lsb_index(full)
-    frames = [[full, candidates(a0, full), 0, a0]]
+    frames = [(full, candidates(a0, full), a0)]
     while frames:
-        frame = frames[-1]
-        uncovered, cands, i, a = frame
-        advanced = False
-        while i < len(cands):
-            b = cands[i]
-            i += 1
+        uncovered, cands, a = frames[-1]
+        for b in cands:
             cover = up[a] & down[b]
             if cover & uncovered != cover:
                 continue
             rest = uncovered & ~cover
             if rest in fail:
                 continue
-            frame[2] = i
             chosen.append((a, b))
             if rest == 0:
                 return chosen
             na = _lsb_index(rest)
-            frames.append([rest, candidates(na, rest), 0, na])
-            advanced = True
+            frames.append((rest, candidates(na, rest), na))
             break
-        if not advanced:
+        else:
             if len(fail) < _FAIL_CACHE_CAP:
                 fail.add(uncovered)
             frames.pop()
@@ -160,15 +159,19 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
     poset = characteristic_poset(pair, config)
     pts = poset.points
     n = poset.size
-    rho = [poset.ceiling_count(p) for p in pts]
+    nvars = len(poset.variables)
+    level = [0] * (nvars + 1)
+    for i, p in enumerate(pts):
+        level[poset.ceiling_count(p)] |= 1 << i
     up, down = _interval_masks(pts)
     full = (1 << n) - 1
 
-    value = min(rho)
+    value = next(r for r, m in enumerate(level) if m)
     witness = [(i, i) for i in range(n)]
-    tcap = min(max(rho[j] for j in _bits(up[i])) for i in range(n))
+    # no interval bottomed at i can top out above the highest level over i
+    tcap = min(next(r for r in range(nvars, -1, -1) if u & level[r]) for u in up)
     for target in range(value + 1, tcap + 1):
-        found = _cover_search(target, full, up, down, rho)
+        found = _cover_search(target, full, up, down, level)
         if found is None:
             break
         witness = found
@@ -176,8 +179,8 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
 
     intervals = tuple((pts[a], pts[b]) for a, b in witness)
     ok, achieved = verify_decomposition(poset, intervals)
-    assert ok and achieved >= value
-    nvars = len(poset.variables)
+    if not ok or achieved < value:
+        raise InternalError(f"the witness of Stanley depth {value} does not verify")
     return SdepthReport(value, nvars - value, nvars, poset.ceiling, n, intervals)
 
 

@@ -9,6 +9,7 @@ frozen where the suite needs literal constants.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 
@@ -16,7 +17,7 @@ from itertools import combinations, permutations, product
 
 
 def brute_sdepth(points, ceiling):
-    """Max over interval partitions of min ceiling-count, by direct recursion.
+    """Max over interval partitions of min ceiling-count, by memoized recursion.
 
     points: list of exponent tuples, ceiling: the box top g.  Returns -1 for
     an empty point set (no proper module).
@@ -30,25 +31,23 @@ def brute_sdepth(points, ceiling):
     def rho(b):
         return sum(1 for j in range(n) if b[j] == ceiling[j])
 
-    best = -1
-
-    def rec(uncovered, worst):
-        nonlocal best
+    @lru_cache(maxsize=None)
+    def best(uncovered):
+        """Best min ceiling-count over the partitions of `uncovered`."""
         if not uncovered:
-            best = max(best, worst)
-            return
+            return n + 1
         a = min(uncovered)
+        value = -1
         for b in points:
-            # only tops that keep the branch strictly better than the incumbent
-            if rho(b) <= best or not leq(a, b):
+            # only tops that beat the best partition found so far
+            if rho(b) <= value or not leq(a, b):
                 continue
             block = {p for p in points if leq(a, p) and leq(p, b)}
-            if not block <= uncovered:
-                continue
-            rec(uncovered - block, min(worst, rho(b)))
+            if block <= uncovered:
+                value = max(value, min(rho(b), best(uncovered - block)))
+        return value
 
-    rec(frozenset(points), n + 1)
-    return best
+    return best(frozenset(points)) if points else -1
 
 
 def brute_sdepth_pair(pair):

@@ -269,6 +269,16 @@ def test_exit_code_limit(tmp_path, capsys):
     assert "limit" in err
 
 
+def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
+    from lcmlat import sdepth
+
+    monkeypatch.setattr(sdepth, "_cover_search", lambda *args: [(0, 0)])
+    src = _write(tmp_path, "i.json", TWO_VARS)
+    code, out, err = _run(["sdepth", src], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("internal error:")
+
+
 def test_out_flag_and_determinism(tmp_path, capsys):
     src = _write(tmp_path, "i.json", TRIANGLE)
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"

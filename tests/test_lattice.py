@@ -73,8 +73,10 @@ def test_from_leq_leaves_callers_matrix_writable():
     assert not lat.leq[1, 0] and not lat.leq.flags.writeable
 
 _OPTIMIZED_CHECKS = textwrap.dedent("""
-    from lcmlat import (CyclicRelation, InvalidInput, NotASemilattice,
-                        Semilattice, boolean_semilattice)
+    from lcmlat import (CyclicRelation, GeneratorSet, InternalError, InvalidInput,
+                        Monomial, NotASemilattice, Semilattice, boolean_semilattice,
+                        sdepth_of_ideal)
+    from lcmlat import sdepth
     if __debug__:
         raise SystemExit("asserts are still on")
     b2 = boolean_semilattice(2)
@@ -89,6 +91,12 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         Semilattice.from_leq(["a", "b"], [[1, 1], [1, 1]])
         raise SystemExit("cyclic order accepted")
     except CyclicRelation:
+        pass
+    sdepth._cover_search = lambda *args: [(0, 0)]
+    try:
+        sdepth_of_ideal(GeneratorSet(("x", "y"), [Monomial((1, 0)), Monomial((0, 1))]))
+        raise SystemExit("unverified sdepth witness accepted")
+    except InternalError:
         pass
 """)
 

@@ -4,6 +4,7 @@ import pytest
 
 from lcmlat import (
     GeneratorSet,
+    InternalError,
     LimitExceeded,
     Monomial,
     QuotientPair,
@@ -16,6 +17,7 @@ from lcmlat import (
     sdepth_solve,
     verify_decomposition,
 )
+from lcmlat import sdepth as sdepth_module
 from lcmlat.config import Config
 
 from oracles import brute_sdepth_pair
@@ -127,7 +129,68 @@ def test_matches_brute_force_on_random_pairs(rng):
         assert sdepth_solve(pair).sdepth == brute_sdepth_pair(pair)
 
 
+def test_matches_brute_force_on_random_squarefree_ideals(rng):
+    for _ in range(30):
+        nvars = rng.randint(4, 5)
+        gens = [Monomial([rng.randint(0, 1) for _ in range(nvars)])
+                for _ in range(rng.randint(1, 5))]
+        gens = [m for m in gens if not m.is_unit()] or [Monomial([1] * nvars)]
+        ideal = GeneratorSet(tuple(f"x{j}" for j in range(nvars)), gens).minimalize()
+        for pair in (ideal_pair(ideal), quotient_ring_pair(ideal)):
+            assert sdepth_solve(pair).sdepth == brute_sdepth_pair(pair)
+
+
+# ---------------- order masks and search order ----------------
+
+
+def test_interval_masks_match_pairwise_comparison(rng):
+    from conftest import random_proper_pair
+
+    shapes = set()
+    for _ in range(20):
+        pair = random_proper_pair(rng, max_vars=5, max_gens=3, max_exp=3)
+        pos = characteristic_poset(pair)
+        pts = pos.points
+        up = [sum(1 << j for j, q in enumerate(pts) if all(a <= b for a, b in zip(p, q)))
+              for p in pts]
+        down = [sum(1 << j for j, q in enumerate(pts) if all(a >= b for a, b in zip(p, q)))
+                for p in pts]
+        assert sdepth_module._interval_masks(pts) == (up, down)
+        shapes.update(("zero cap" if e == 0 else "power cap" if e > 1 else "unit cap")
+                      for e in pos.ceiling)
+    assert shapes == {"zero cap", "unit cap", "power cap"}
+
+
+def test_witness_of_four_atom_lattice_is_frozen():
+    # the first top tried at each bottom is the lowest-index point of the
+    # highest ceiling level; any change of that order changes this witness
+    from lcmlat import canonical_realization
+    from lcmlat.lattice import family_semilattice
+
+    lat = family_semilattice([0x1, 0x2, 0x3, 0x4, 0x5, 0x7, 0x8, 0xA, 0xB, 0xC, 0xF])
+    rep = sdepth_solve(ideal_pair(canonical_realization(lat).gens))
+    assert rep.to_json() == {
+        "sdepth": 4, "spdim": 1, "g": [1, 1, 1, 1, 1], "poset_size": 19,
+        "witness": [
+            [[0, 0, 1, 0, 1], [0, 1, 1, 1, 1]],
+            [[0, 0, 1, 1, 0], [1, 1, 1, 1, 0]],
+            [[1, 0, 0, 0, 1], [1, 0, 1, 1, 1]],
+            [[1, 1, 0, 0, 0], [1, 1, 0, 1, 1]],
+            [[1, 1, 1, 0, 0], [1, 1, 1, 0, 1]],
+            [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1]],
+        ],
+    }
+
+
 # ---------------- witnesses and their verification ----------------
+
+
+def test_unverified_witness_raises(monkeypatch):
+    # (x, y): the search at depth 2 returns one singleton for three points
+    monkeypatch.setattr(sdepth_module, "_cover_search", lambda *args: [(0, 0)])
+    with pytest.raises(InternalError):
+        sdepth_of_ideal(_gens(("x", "y"), "x", "y"))
+
 
 
 def test_solver_witness_verifies():
