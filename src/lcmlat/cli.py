@@ -311,7 +311,8 @@ def _cmd_check_map(args):
             "spdim_ok": check.spdim_ok,
         })
     _emit(args, doc)
-    assert check.ok, "a validated surjection must not increase the invariants"
+    if not check.ok:
+        raise AssertionError("a validated surjection must not increase the invariants")
 
 
 def _build_parser():

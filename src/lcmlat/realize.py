@@ -149,7 +149,8 @@ def equalize_degrees(lat: Semilattice, antichain, start: Weighting = None,
         if spread == 0:
             break
         rounds += 1
-        assert rounds <= spread0, "degree spread must shrink every round"
+        if rounds > spread0:
+            raise InternalError("the degree spread did not shrink every round")
         tops = [a for a, d in zip(antichain, degs) if d == max(degs)]
         for t, a in enumerate(tops):
             variables.append(f"d{rounds}_{t}")
@@ -165,7 +166,8 @@ def equalize_degrees(lat: Semilattice, antichain, start: Weighting = None,
         tuple(Monomial(row) for row in weights),
     )
     ok, witness = validate_weighting(lat, out)
-    assert ok, witness
+    if not ok:
+        raise InternalError(f"equalized weighting is not realizable: {witness}")
     return out
 
 
@@ -187,6 +189,6 @@ def single_degree_pair(pair, config: Config = DEFAULT):
         real.gens.variables,
         [real.labeling[index[g.exps]] for g in slim.j.gens],
     )
-    degs = {g.degree() for g in new_i.gens}
-    assert len(degs) == 1, "numerator must end up in a single degree"
+    if len({g.degree() for g in new_i.gens}) != 1:
+        raise InternalError("the numerator did not end up in a single degree")
     return QuotientPair(new_i, new_j)

@@ -3,85 +3,73 @@
 The complex lives on subsets of the combined generator list; the subsets
 lying entirely inside the denominator's generators span a subcomplex, and
 the quotient complex resolves I/J.  Tensoring with the residue field keeps
-exactly the boundary entries between subsets with equal lcm, so the Betti
-numbers are corank computations of sparse sign matrices, done exactly:
-fraction-free elimination over the integers by default, or modulo a prime.
+exactly the boundary entries between subsets with equal lcm, so the complex
+splits into one block per lcm-lattice element and subset size (the
+multidegree grading).  The Betti numbers are coranks of these small sign
+blocks, computed exactly: over the rationals by integer elimination that
+keeps every row primitive, or modulo a prime.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 
 from .config import DEFAULT, Config
-from .errors import InvalidInput, LimitExceeded, NotSurjective
+from .errors import InternalError, InvalidInput, LimitExceeded, NotSurjective
 from .monomials import QuotientPair, lcm_semilattice, union_generators
 
 
-def rank_exact(rows, ncols):
-    """Rank over the rationals by fraction-free (division-preserving) elimination."""
-    mat = [list(r) for r in rows if any(r)]
+def _rank_by(rows, ncols, clear):
+    """Rank by elimination, column by column, touching only the rows that change.
+
+    clear(tail, top) returns the tail of a row from the current column on,
+    minus a multiple of the pivot row's tail top, with 0 in front.
+    """
+    mat = [list(row) for row in rows if any(row)]
     rank = 0
-    prev = 1
-    col = 0
-    while mat and col < ncols:
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
+    for col in range(ncols):
+        hit = [row for row in mat if row[col]]
+        if not hit:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        p = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            x = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for c in range(col, ncols):
-                q, rem = divmod(row[c] * p - x * top[c], prev)
-                assert rem == 0, "fraction-free step must divide exactly"
-                row[c] = q
-        prev = p
         rank += 1
-        col += 1
-        if rank == len(mat):
-            break
+        top = hit[0][col:]
+        mat = [row for row in mat if not row[col]]
+        for row in hit[1:]:
+            tail = clear(row[col:], top)
+            if any(tail):
+                row[col:] = tail
+                mat.append(row)
     return rank
+
+
+def rank_exact(rows, ncols):
+    """Rank over the rationals by integer elimination on primitive rows.
+
+    A row with an entry x under the pivot p becomes (p/g)*row - (x/g)*top,
+    g = gcd(p, x), divided by the gcd of its entries.  Every step is
+    invertible over Q, so the rank is exact and the entries stay small.
+    """
+    def clear(row, top):
+        g = gcd(top[0], row[0])
+        a, b = top[0] // g, row[0] // g
+        new = [a * u - b * v for u, v in zip(row, top)]
+        g = gcd(*new)
+        return [u // g for u in new] if g > 1 else new
+
+    return _rank_by(rows, ncols, clear)
 
 
 def rank_mod_p(rows, ncols, p):
-    mat = [[x % p for x in r] for r in rows if any(x % p for x in r)]
-    rank = 0
-    col = 0
-    while mat and col < ncols and rank < len(mat):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        for r in range(rank + 1, len(mat)):
-            x = mat[r][col]
-            if x:
-                row, top = mat[r], mat[rank]
-                f = x * inv % p
-                for c in range(col, ncols):
-                    row[c] = (row[c] - f * top[c]) % p
-        rank += 1
-        col += 1
-    return rank
+    """Rank over GF(p), p prime."""
+    def clear(row, top):
+        f = row[0] * pow(top[0], -1, p) % p
+        return [(u - f * v) % p for u, v in zip(row, top)]
+
+    return _rank_by([[x % p for x in row] for row in rows], ncols, clear)
 
 
 def _rank(rows, ncols, config):
-    if not rows or ncols == 0:
-        return 0
     if config.field == "Q":
         return rank_exact(rows, ncols)
-    config.validate_field()
     return rank_mod_p(rows, ncols, config.field[1])
 
 
@@ -102,13 +90,10 @@ class BettiTable:
         }
 
 
-def _colex(n, k):
-    return sorted(combinations(range(n), k), key=lambda s: tuple(reversed(s)))
-
-
 def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
     """Betti numbers, projective dimension and depth of I/J."""
     pair.require_proper()
+    config.validate_field()
     iset = set(pair.i.gens)
     jset = set(pair.j.gens)
     verts = list(pair.i.gens) + [g for g in pair.j.gens if g not in iset]
@@ -118,50 +103,44 @@ def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
         raise LimitExceeded(f"2^{n} subsets exceed cap {config.subset_cap}")
     exps = [v.exps for v in verts]
     jmask = sum(1 << i for i, g in enumerate(verts) if g in jset)
-    lcm_of = {0: (0,) * nvars}
+
+    # the subsets not inside J, grouped by multidegree: (lcm, size) -> masks
+    lcm_of = [(0,) * nvars] * (1 << n)
+    groups = {}
     for m in range(1, 1 << n):
         low = m & -m
-        prev = lcm_of[m ^ low]
-        e = exps[low.bit_length() - 1]
-        lcm_of[m] = tuple(max(a, b) for a, b in zip(prev, e))
+        lcm_of[m] = tuple(map(max, lcm_of[m ^ low], exps[low.bit_length() - 1]))
+        if m & ~jmask:
+            groups.setdefault((lcm_of[m], m.bit_count()), []).append(m)
 
-    levels = []  # levels[h] = list of (mask, subset tuple) for |S| = h+1
-    index = []  # mask -> column, per level
-    for h in range(n):
-        subs = [
-            (sum(1 << i for i in s), s)
-            for s in _colex(n, h + 1)
-        ]
-        subs = [(m, s) for m, s in subs if m & ~jmask]
-        levels.append(subs)
-        index.append({m: c for c, (m, s) in enumerate(subs)})
-
-    ranks = [0] * (n + 1)  # ranks[h] = rank of the map out of level h
-    for h in range(1, n):
-        if not levels[h] or not levels[h - 1]:
-            ranks[h] = 0
+    count = [0] * (n + 2)  # count[k]: subsets of size k outside J
+    ranks = [0] * (n + 2)  # ranks[k]: rank of the differential out of size k
+    for (lcm, k), cols in groups.items():
+        count[k] += len(cols)
+        below = groups.get((lcm, k - 1))
+        if not below:
             continue
-        rows = [[0] * len(levels[h]) for _ in levels[h - 1]]
-        nonzero = False
-        for col, (mask, s) in enumerate(levels[h]):
-            full = lcm_of[mask]
-            for t, i in enumerate(s):
-                sub = mask ^ (1 << i)
-                if not sub & ~jmask:
-                    continue
-                if lcm_of[sub] == full:
-                    rows[index[h - 1][sub]][col] = -1 if t % 2 else 1
-                    nonzero = True
-        ranks[h] = _rank(rows, len(levels[h]), config) if nonzero else 0
+        row_of = {m: r for r, m in enumerate(below)}
+        rows = [[0] * len(cols) for _ in below]
+        for c, mask in enumerate(cols):
+            rest, t = mask, 0
+            while rest:
+                low = rest & -rest
+                # None: the face lies inside J or has a smaller lcm
+                r = row_of.get(mask ^ low)
+                if r is not None:
+                    rows[r][c] = -1 if t & 1 else 1
+                rest ^= low
+                t += 1
+        ranks[k] += _rank(rows, len(cols), config)
 
-    betti = []
-    for h in range(n):
-        b = len(levels[h]) - ranks[h] - ranks[h + 1]
-        betti.append(b)
-    assert all(b >= 0 for b in betti)
+    betti = [count[k] - ranks[k] - ranks[k + 1] for k in range(1, n + 1)]
+    if any(b < 0 for b in betti):
+        raise InternalError(f"negative Betti number in {betti}")
     while betti and betti[-1] == 0:
         betti.pop()
-    assert betti, "a non-zero module has a non-trivial resolution"
+    if not betti:
+        raise InternalError("a non-zero module has a non-trivial resolution")
     pdim = len(betti) - 1
     return BettiTable(tuple(betti), pdim, nvars - pdim, nvars, config.field_label())
 
@@ -236,5 +215,6 @@ def _sublattice_indices(lcmlat, denom, config):
     if not denom.gens:
         return set()
     out = {lcmlat.index_of(m) for m in lcm_semilattice(denom, config).monomials}
-    assert None not in out
+    if None in out:
+        raise InternalError("a denominator lcm is missing from the joint lattice")
     return out

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and shares no algorithmic structure
 with the package: partitions are enumerated recursively over explicit point
-sets, ranks are computed over exact fractions, census families are produced
-by filtering the full powerset, and associated primes come from a grid scan
-of colon ideals.  Results are compared against the fast implementations and
+sets, ranks are computed over exact fractions or by plain elimination mod p,
+Betti numbers come from the full, unblocked Taylor complex, census families
+are produced by filtering the full powerset, and associated primes come from
+a grid scan of colon ideals.  Results are compared against the fast implementations and
 frozen where the suite needs literal constants.
 """
 
@@ -85,6 +86,73 @@ def rank_fraction(rows, ncols):
         if rank == len(mat):
             break
     return rank
+
+
+def rank_mod(rows, ncols, p):
+    """Rank over GF(p) by plain Gaussian elimination on reduced residues."""
+    mat = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] * inv % p
+                mat[r] = [(mat[r][c] - f * mat[rank][c]) % p for c in range(ncols)]
+        rank += 1
+    return rank
+
+
+# ---------------- Betti numbers from the full quotient Taylor complex ----------------
+
+
+def taylor_betti_dense(gens_i, gens_j, p=None):
+    """Betti numbers of I/J from the unblocked quotient Taylor complex.
+
+    gens_i, gens_j: exponent tuples.  The complex has one basis element per
+    subset of the distinct generators that is not made of J's generators
+    alone; after tensoring with the field, the boundary keeps the signed
+    entries between a subset and a face with the same lcm.  Each boundary
+    is ranked as one dense matrix over Q (p None) or GF(p).
+    """
+    gens_i = [tuple(g) for g in gens_i]
+    gens_j = [tuple(g) for g in gens_j]
+    verts = sorted(set(gens_i) | set(gens_j))
+    in_j = {v for v in verts if v in gens_j}
+    n = len(verts)
+
+    def lcm(subset):
+        return tuple(max(verts[v][c] for v in subset) for c in range(len(verts[0])))
+
+    basis = {
+        k: [s for s in combinations(range(n), k) if any(verts[v] not in in_j for v in s)]
+        for k in range(1, n + 1)
+    }
+
+    def boundary_rank(k):
+        """Rank of the boundary from the k-subsets to the (k-1)-subsets."""
+        if k < 2 or k > n:
+            return 0
+        rows = basis[k - 1]
+        cols = basis[k]
+        matrix = [[0] * len(cols) for _ in rows]
+        for c, s in enumerate(cols):
+            for t in range(k):
+                face = s[:t] + s[t + 1:]
+                if face in rows and lcm(face) == lcm(s):
+                    matrix[rows.index(face)][c] = (-1) ** t
+        if p is None:
+            return rank_fraction(matrix, len(cols))
+        return rank_mod(matrix, len(cols), p)
+
+    ranks = {k: boundary_rank(k) for k in range(1, n + 2)}
+    betti = [len(basis[k]) - ranks[k] - ranks[k + 1] for k in range(1, n + 1)]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
 
 
 # ---------------- census oracle: intersection-closed atom-set families ----------------

@@ -237,6 +237,41 @@ def test_check_map_with_non_minimal_denominator(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["bijective"] and doc["pdim_ok"]
 
+
+_FAILED_CHECK_MAP = """
+import sys
+from lcmlat import resolution
+from lcmlat.cli import main
+if __debug__:
+    raise SystemExit("asserts are still on")
+resolution.pdim_pair_invariance = lambda *args, **kwargs: resolution.MapCheck(
+    True, 2, 1, False)
+main(sys.argv[1:])
+"""
+
+
+def test_check_map_failure_exits_3_under_optimized_python(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lcmlat
+
+    a = _write(tmp_path, "a.json", TRIANGLE)
+    m = _write(tmp_path, "m.json", {"image": list(range(4))})
+    env = dict(os.environ)
+    src = str(Path(lcmlat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILED_CHECK_MAP, "check-map", a, a, m],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["pdim_ok"] is False
+    assert proc.stderr.startswith("internal assertion failed:")
+
+
 def test_exit_code_bad_input(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = _run(["lattice", missing], capsys)

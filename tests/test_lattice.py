@@ -98,6 +98,14 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         raise SystemExit("unverified sdepth witness accepted")
     except InternalError:
         pass
+    from lcmlat import ideal_pair, resolution, taylor_betti
+    resolution._rank = lambda rows, ncols, config: ncols + 1
+    try:
+        taylor_betti(ideal_pair(GeneratorSet(
+            ("x", "y"), [Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2))])))
+        raise SystemExit("negative Betti number accepted")
+    except InternalError:
+        pass
 """)
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -26,7 +27,7 @@ from lcmlat import (
 )
 from lcmlat.config import Config
 
-from oracles import rank_fraction
+from oracles import rank_fraction, taylor_betti_dense
 
 
 def _gens(names, *monos):
@@ -61,6 +62,15 @@ def test_rank_exact_matches_fraction_oracle(rng):
             tuple(rng.randint(-4, 4) for _ in range(ncols)) for _ in range(nrows)
         ]
         assert rank_exact(rows, ncols) == rank_fraction(rows, ncols)
+    # sparse sign matrices, the shape of the Taylor blocks, and wide entries
+    for values, size in (((-1, 0, 0, 1), 12), (range(-50, 51), 8)):
+        for _ in range(60):
+            nrows = rng.randint(0, size)
+            ncols = rng.randint(1, size)
+            rows = [
+                tuple(rng.choice(values) for _ in range(ncols)) for _ in range(nrows)
+            ]
+            assert rank_exact(rows, ncols) == rank_fraction(rows, ncols)
 
 
 def test_rank_mod_p_drops_on_characteristic():
@@ -156,6 +166,70 @@ def test_euler_characteristic(rng):
         # a resolution of a rank-0 module in homological degree >= 0: the
         # alternating sum of Betti numbers of an ideal equals its rank, 1
         assert euler == 1
+
+
+_FIELDS = (("Q", None), (("GF", 2), 2), (("GF", 3), 3))
+
+
+def _exps(gens):
+    return [g.exps for g in gens.gens]
+
+
+def test_betti_matches_dense_oracle(rng):
+    from conftest import random_ideal
+
+    checked = 0
+    while checked < 25:
+        gens = random_ideal(rng, max_vars=4, max_gens=7, max_exp=2).minimalize()
+        if gens.nvars < 3 or len(gens.gens) < 4:
+            continue  # too few subsets share an lcm to form a sizable block
+        checked += 1
+        for pair in (ideal_pair(gens), quotient_ring_pair(gens)):
+            for field, p in _FIELDS:
+                table = taylor_betti(pair, Config(field=field))
+                assert table.betti == taylor_betti_dense(
+                    _exps(pair.i), _exps(pair.j), p
+                )
+
+
+def test_quotient_pair_betti_matches_dense_oracle(rng):
+    from conftest import random_proper_pair
+
+    checked = 0
+    while checked < 25:
+        pair = random_proper_pair(rng, max_vars=4, max_gens=4, max_exp=2)
+        if not pair.j.gens:
+            continue
+        checked += 1
+        for field, p in _FIELDS:
+            table = taylor_betti(pair, Config(field=field))
+            assert table.betti == taylor_betti_dense(_exps(pair.i), _exps(pair.j), p)
+
+
+def test_real_projective_plane_depends_on_characteristic():
+    # Stanley-Reisner ring of the 6-vertex triangulation of RP^2: its ten
+    # non-face triangles generate the ideal; H~_1 has 2-torsion, so the last
+    # Betti numbers change over GF(2)
+    facets = {
+        frozenset(int(c) - 1 for c in f)
+        for f in "124 126 135 136 145 234 235 256 346 456".split()
+    }
+    gens = GeneratorSet(
+        tuple(f"x{i}" for i in range(1, 7)),
+        [
+            Monomial([1 if j in t else 0 for j in range(6)])
+            for t in combinations(range(6), 3)
+            if frozenset(t) not in facets
+        ],
+    )
+    assert len(gens.gens) == 10
+    pair = quotient_ring_pair(gens)
+    expected = {"Q": (1, 10, 15, 6), ("GF", 3): (1, 10, 15, 6),
+                ("GF", 2): (1, 10, 15, 7, 1)}
+    for field, betti in expected.items():
+        table = taylor_betti(pair, Config(field=field))
+        assert table.betti == betti
+        assert table.depth == 6 - (len(betti) - 1)
 
 
 def test_quotient_pair_betti():
