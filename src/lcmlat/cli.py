@@ -324,7 +324,6 @@ def _build_parser():
         for pos in inputs:
             p.add_argument(pos)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--field", help="Q (default) or a prime like GF:5")
         p.set_defaults(fn=fn)
         return p
 
@@ -363,6 +362,8 @@ def _build_parser():
     cmd("check-map", _cmd_check_map, "validate a lattice surjection between two pairs",
         inputs=("a", "b", "map"))
     sub.choices["check-map"].add_argument("--with-sdepth", action="store_true")
+    for name in ("betti", "pdim", "classify", "check-map"):
+        sub.choices[name].add_argument("--field", help="Q (default) or a prime like GF:5")
     return top
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import (
     CyclicRelation,
+    InternalError,
     InvalidInput,
     LimitExceeded,
     NotASemilattice,
@@ -162,7 +163,8 @@ class Semilattice:
     @cached_property
     def top(self):
         tops = [i for i in range(self.n) if self.upper_masks[i] == 1 << i]
-        assert len(tops) == 1
+        if len(tops) != 1:
+            raise InternalError(f"a semilattice has one top, found {len(tops)}")
         return tops[0]
 
     @cached_property
@@ -366,7 +368,8 @@ def free_cover_map(lat: Semilattice, config: Config = DEFAULT) -> JoinMap:
     cube = boolean_semilattice(len(atoms), config)
     image = [lat.join_of([atoms[t] for t in _bits(m + 1)]) for m in range(cube.n)]
     phi = JoinMap(cube, lat, image)
-    assert phi.is_surjective
+    if not phi.is_surjective:
+        raise InternalError("the free cover map is not surjective")
     return phi
 
 
@@ -384,18 +387,21 @@ def pseudo_inverse(phi: JoinMap) -> MonotoneMap:
         pre = [s for s in range(src.n) if phi.image[s] == t]
         image.append(src.join_of(pre))
     psi = tuple(image)
-    assert all(phi.image[psi[t]] == t for t in range(tgt.n))
-    assert all(
+    if not all(phi.image[psi[t]] == t for t in range(tgt.n)):
+        raise InternalError("the pseudo-inverse is not a section")
+    if not all(
         src.leq[psi[t], psi[u]]
         for t in range(tgt.n)
         for u in range(tgt.n)
         if tgt.leq[t, u]
-    )
-    assert all(
+    ):
+        raise InternalError("the pseudo-inverse is not monotone")
+    if not all(
         bool(tgt.leq[phi.image[s], t]) == bool(src.leq[s, psi[t]])
         for s in range(src.n)
         for t in range(tgt.n)
-    )
+    ):
+        raise InternalError("the pseudo-inverse is not adjoint to the map")
     return MonotoneMap(tgt, src, psi)
 
 
@@ -437,13 +443,15 @@ def factor_map(phi: JoinMap) -> Optional[FactorStep]:
         if phi.image[a] == phi.image[ap]:
             chosen = a
             break
-    assert chosen >= 0, "a non-injective join map must glue some cover pair"
+    if chosen < 0:
+        raise InternalError("a non-injective join map must glue some cover pair")
     quot, pi = collapse(src, chosen)
     residual_image = [0] * quot.n
     for x in range(src.n):
         residual_image[pi.image[x]] = phi.image[x]
     residual = JoinMap(quot, phi.target, residual_image)
-    assert all(residual.image[pi.image[x]] == phi.image[x] for x in range(src.n))
+    if not all(residual.image[pi.image[x]] == phi.image[x] for x in range(src.n)):
+        raise InternalError("the map does not factor through the collapse")
     return FactorStep(chosen, pi, residual)
 
 

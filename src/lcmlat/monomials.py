@@ -7,12 +7,16 @@ weights of the non-upper set recovers the element (inversion).  The
 transforms at the bottom of this file (polarize, radical, colon, restrict,
 inflate, deform) are the ideal-level moves whose effect on Stanley depth and
 projective dimension the rest of the library measures.
+
+A Monomial is an immutable tuple of non-negative exponents: it compares equal
+to, and hashes like, its plain exponent tuple, so either serves as a set
+member or dict key for the other.
 """
 
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from math import gcd
+from operator import add, le, sub
 from typing import Optional
 
 import numpy as np
@@ -20,6 +24,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import (
     EmptyModule,
+    InternalError,
     InvalidDeformation,
     InvalidInput,
     LimitExceeded,
@@ -28,82 +33,73 @@ from .errors import (
 from .lattice import Semilattice
 
 
-class Monomial:
-    """Exponent vector with divisibility semantics; immutable."""
+class Monomial(tuple):
+    """Exponent vector with divisibility semantics; an immutable tuple of ints >= 0."""
 
-    __slots__ = ("exps",)
+    __slots__ = ()
 
-    def __init__(self, exps):
+    def __new__(cls, exps):
         try:
-            exps = tuple(int(e) for e in exps)
+            self = super().__new__(cls, map(int, exps))
         except (TypeError, ValueError):
             raise InvalidInput(f"exponent vector expected, got {exps!r}")
-        if any(e < 0 for e in exps):
-            raise InvalidInput(f"negative exponent in {exps}")
-        object.__setattr__(self, "exps", exps)
+        if min(self, default=0) < 0:
+            raise InvalidInput(f"negative exponent in {tuple(self)}")
+        return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("Monomial is immutable")
+    @property
+    def exps(self):
+        """The exponents as a plain tuple."""
+        return tuple(self)
 
     @classmethod
     def one(cls, nvars):
         return cls((0,) * nvars)
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __len__(self):
-        return len(self.exps)
-
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self, other))
 
     def lcm(self, other):
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(map(max, self, other))
 
     def gcd(self, other):
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(map(min, self, other))
 
     def mul(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(map(add, self, other))
 
     def div(self, other):
         if not other.divides(self):
             raise InvalidInput("inexact monomial division")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return Monomial(map(sub, self, other))
 
     def degree(self):
-        return sum(self.exps)
+        return sum(self)
 
     def is_unit(self):
-        return all(e == 0 for e in self.exps)
+        return not any(self)
 
     def is_squarefree(self):
-        return all(e <= 1 for e in self.exps)
+        return all(e <= 1 for e in self)
 
     def radical(self):
-        return Monomial(tuple(1 if e > 0 else 0 for e in self.exps))
+        return Monomial(min(e, 1) for e in self)
 
     def sort_key(self):
-        return (self.degree(), self.exps)
+        return (self.degree(), self)
 
     def __repr__(self):
-        return f"Monomial{self.exps}"
+        return f"Monomial{tuple(self)}"
 
 
 def strictly_divides(m: Monomial, u: Monomial) -> bool:
     """m divides u/x_j for every variable x_j dividing u."""
-    return all(
-        (e == 0 if uj == 0 else e < uj) for e, uj in zip(m.exps, u.exps)
-    )
+    return all((e == 0 if uj == 0 else e < uj) for e, uj in zip(m, u))
 
 
 def render_monomial(m: Monomial, variables) -> str:
     parts = []
-    for v, e in zip(variables, m.exps):
+    for v, e in zip(variables, m):
         if e == 1:
             parts.append(v)
         elif e > 1:
@@ -259,8 +255,8 @@ class LcmLattice:
 
     def index_of(self, m: Monomial):
         if not self._index:
-            self._index.update({mo.exps: i for i, mo in enumerate(self.monomials)})
-        return self._index.get(m.exps)
+            self._index.update({mo: i for i, mo in enumerate(self.monomials)})
+        return self._index.get(m)
 
 
 def lcm_semilattice(gens: GeneratorSet, config: Config = DEFAULT) -> LcmLattice:
@@ -268,24 +264,24 @@ def lcm_semilattice(gens: GeneratorSet, config: Config = DEFAULT) -> LcmLattice:
     if not gens.gens:
         raise InvalidInput("the lcm-semilattice needs at least one generator")
     base = list(dict.fromkeys(gens.gens))
-    seen = {m.exps for m in base}
+    seen = set(base)
     frontier = list(base)
     while frontier:
         fresh = []
         for m in frontier:
             for g in base:
                 l = m.lcm(g)
-                if l.exps not in seen:
-                    seen.add(l.exps)
+                if l not in seen:
+                    seen.add(l)
                     if len(seen) > config.element_cap:
                         raise LimitExceeded(
                             f"lcm closure exceeds cap {config.element_cap}"
                         )
                     fresh.append(l)
         frontier = fresh
-    monos = sorted((Monomial(e) for e in seen), key=Monomial.sort_key)
+    monos = sorted(seen, key=Monomial.sort_key)
     n = len(monos)
-    E = np.array([m.exps for m in monos], dtype=np.int64)
+    E = np.array(monos, dtype=np.int64)
     leq = np.zeros((n, n), dtype=bool)
     for i in range(n):
         leq[i] = np.all(E >= E[i], axis=1)
@@ -353,13 +349,13 @@ def squarefree_check(gens: GeneratorSet):
                     break
             if not verdict:
                 break
-    # the weight criterion must agree with plain exponent inspection
-    assert verdict == gens.is_squarefree_raw()
+    if verdict != gens.is_squarefree_raw():
+        raise InternalError("the weight criterion disagrees with the exponents")
     return verdict, witness
 
 
 def m_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(min(x, y) == 0 for x, y in zip(a.exps, b.exps))
+    return all(min(x, y) == 0 for x, y in zip(a, b))
 
 
 # ---------------- transforms ----------------
@@ -369,32 +365,29 @@ def _polar_names(variables, dmax):
     names = [f"{v}{t + 1}" for v, d in zip(variables, dmax) for t in range(d)]
     if len(set(names)) != len(names):
         names = [f"{v}_{t + 1}" for v, d in zip(variables, dmax) for t in range(d)]
-    assert len(set(names)) == len(names)
+    if len(set(names)) != len(names):
+        raise InternalError("polarized variable names collide")
     return names
 
 
 def _polarize_one(m: Monomial, dmax) -> Monomial:
     exps = []
-    for e, d in zip(m.exps, dmax):
+    for e, d in zip(m, dmax):
         exps.extend([1] * e + [0] * (d - e))
     return Monomial(exps)
 
 
 def polarize(obj):
     """Split exponents into distinct squarefree variables; lattice shape is kept."""
-    if isinstance(obj, QuotientPair):
-        pair = obj.minimalize()
-        pool = list(pair.i.gens) + list(pair.j.gens)
-        dmax = [max((g.exps[j] for g in pool), default=0) for j in range(pair.i.nvars)]
-        names = _polar_names(pair.variables, dmax)
-        return QuotientPair(
-            GeneratorSet(names, [_polarize_one(g, dmax) for g in pair.i.gens]),
-            GeneratorSet(names, [_polarize_one(g, dmax) for g in pair.j.gens]),
-        )
-    gens = obj.minimalize()
-    dmax = [max((g.exps[j] for g in gens.gens), default=0) for j in range(gens.nvars)]
-    names = _polar_names(gens.variables, dmax)
-    return GeneratorSet(names, [_polarize_one(g, dmax) for g in gens.gens])
+    if not isinstance(obj, QuotientPair):
+        return polarize(ideal_pair(obj)).i
+    pair = obj.minimalize()
+    dmax = union_generators(pair).lcm()
+    names = _polar_names(pair.variables, dmax)
+    return QuotientPair(
+        GeneratorSet(names, [_polarize_one(g, dmax) for g in pair.i.gens]),
+        GeneratorSet(names, [_polarize_one(g, dmax) for g in pair.j.gens]),
+    )
 
 
 def radical(obj):
@@ -424,7 +417,7 @@ def restrict_variable(obj, var_index: int):
         raise InvalidInput(f"no variable with index {var_index}")
     names = [v for j, v in enumerate(obj.variables) if j != var_index]
     gens = [
-        Monomial(tuple(e for j, e in enumerate(g.exps) if j != var_index))
+        Monomial(e for j, e in enumerate(g) if j != var_index)
         for g in obj.gens
     ]
     return GeneratorSet(names, gens).minimalize()
@@ -455,7 +448,7 @@ def inflate(pair: QuotientPair, m: Monomial, config: Config = DEFAULT) -> Quotie
     names = list(pair.variables) + [fresh]
 
     def lift(g: Monomial) -> Monomial:
-        return Monomial(g.exps + ((0,) if g.divides(m) else (1,)))
+        return Monomial(g + ((0,) if g.divides(m) else (1,)))
 
     return QuotientPair(
         GeneratorSet(names, [lift(g) for g in pair.i.gens]),
@@ -475,7 +468,7 @@ def _checked_shifts(gens: GeneratorSet, shifts):
         if any(e < 0 for e in row):
             raise InvalidDeformation(i, i, 0, "negative shift")
         eps.append(row)
-    A = [g.exps for g in gens.gens]
+    A = gens.gens
     for i in range(len(A)):
         for j in range(gens.nvars):
             if A[i][j] == 0 and eps[i][j] != 0:
@@ -502,27 +495,15 @@ def validate_deformation(gens: GeneratorSet, shifts):
 
 def deform(gens: GeneratorSet, shifts) -> GeneratorSet:
     eps = _checked_shifts(gens, shifts)
-    return GeneratorSet(
-        gens.variables,
-        [Monomial(tuple(a + e for a, e in zip(g.exps, row)))
-         for g, row in zip(gens.gens, eps)],
-    )
+    return GeneratorSet(gens.variables, [g.mul(row) for g, row in zip(gens.gens, eps)])
 
 
 def deform_pair(pair: QuotientPair, shifts) -> QuotientPair:
     """Deform I and J through one joint shift of their combined generators."""
     union = union_generators(pair)
-    eps = _checked_shifts(union, shifts)
-    lookup = {g: row for g, row in zip(union.gens, eps)}
-
-    def move(gs: GeneratorSet) -> GeneratorSet:
-        return GeneratorSet(
-            gs.variables,
-            [Monomial(tuple(a + e for a, e in zip(g.exps, lookup[g])))
-             for g in gs.gens],
-        )
-
-    newi, newj = move(pair.i), move(pair.j)
+    moved = dict(zip(union.gens, deform(union, shifts).gens))
+    newi = GeneratorSet(pair.variables, [moved[g] for g in pair.i.gens])
+    newj = GeneratorSet(pair.variables, [moved[g] for g in pair.j.gens])
     for g in newj.gens:
         if not newi.contains(g):
             raise InvalidDeformation(
@@ -537,7 +518,7 @@ def is_generic(gens: GeneratorSet) -> bool:
     for i in range(len(gs)):
         for k in range(i + 1, len(gs)):
             tied = any(
-                a == b and a > 0 for a, b in zip(gs[i].exps, gs[k].exps)
+                a == b and a > 0 for a, b in zip(gs[i], gs[k])
             )
             if not tied:
                 continue
@@ -557,7 +538,7 @@ def is_generic(gens: GeneratorSet) -> bool:
 def gens_to_json(gens: GeneratorSet) -> dict:
     return {
         "variables": list(gens.variables),
-        "generators": [list(g.exps) for g in gens.gens],
+        "generators": [list(g) for g in gens.gens],
     }
 
 
@@ -585,8 +566,8 @@ def weighting_to_json(w: Weighting) -> dict:
     return {
         "variables": list(w.variables),
         "lattice": lattice_to_json(w.lattice),
-        "bottom": list(w.bottom.exps),
-        "weights": [list(m.exps) for m in w.weights],
+        "bottom": list(w.bottom),
+        "weights": [list(m) for m in w.weights],
     }
 
 

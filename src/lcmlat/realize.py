@@ -67,16 +67,15 @@ def realize(lat: Semilattice, w: Weighting, config: Config = DEFAULT) -> Realiza
 
 def _check_roundtrip(lat, w, gens, labeling, config):
     back = weight_map(gens, config)
-    index = {m.exps: i for i, m in enumerate(back.monomials)}
-    exps = [m.exps for m in labeling]
-    if len(set(exps)) != lat.n or set(index) != set(exps):
+    index = {m: i for i, m in enumerate(back.monomials)}
+    if len(set(labeling)) != lat.n or set(index) != set(labeling):
         raise InternalError("realized monomials collide or miss the lcm-lattice")
     for a in range(lat.n):
         for b in range(lat.n):
             if bool(lat.leq[a, b]) != labeling[a].divides(labeling[b]):
                 raise InternalError("divisibility of the realization differs from the order")
     if back.bottom != w.bottom or any(
-        back.weights[index[exps[m]]] != w.weights[m] for m in range(lat.n)
+        back.weights[index[labeling[m]]] != w.weights[m] for m in range(lat.n)
     ):
         raise InternalError("weights do not survive the round trip")
 
@@ -98,7 +97,8 @@ def canonical_weighting(lat: Semilattice) -> Weighting:
 def canonical_realization(lat: Semilattice, config: Config = DEFAULT) -> Realization:
     """Squarefree realization over one variable per meet-irreducible."""
     real = realize(lat, canonical_weighting(lat), config)
-    assert all(m.is_squarefree() for m in real.labeling)
+    if not all(m.is_squarefree() for m in real.labeling):
+        raise InternalError("the canonical realization is not squarefree")
     return real
 
 
@@ -129,8 +129,8 @@ def equalize_degrees(lat: Semilattice, antichain, start: Weighting = None,
         raise InvalidWeighting(witness)
 
     variables = list(w.variables)
-    weights = [list(m.exps) for m in w.weights]
-    bottom = list(w.bottom.exps)
+    weights = [list(m) for m in w.weights]
+    bottom = list(w.bottom)
 
     def degree_of(m):
         d = sum(bottom)
@@ -178,8 +178,8 @@ def single_degree_pair(pair, config: Config = DEFAULT):
     slim = pair.minimalize()
     union = union_generators(slim)
     base = weight_map(union, config)
-    index = {m.exps: i for i, m in enumerate(base.monomials)}
-    targets = [index.get(g.exps) for g in slim.i.gens]
+    index = {m: i for i, m in enumerate(base.monomials)}
+    targets = [index.get(g) for g in slim.i.gens]
     if any(t is None for t in targets):
         raise InvalidInput("minimal generators must appear in the joint lattice")
     w = equalize_degrees(base.lattice, targets, start=base, config=config)
@@ -187,7 +187,7 @@ def single_degree_pair(pair, config: Config = DEFAULT):
     new_i = GeneratorSet(real.gens.variables, [real.labeling[t] for t in targets])
     new_j = GeneratorSet(
         real.gens.variables,
-        [real.labeling[index[g.exps]] for g in slim.j.gens],
+        [real.labeling[index[g]] for g in slim.j.gens],
     )
     if len({g.degree() for g in new_i.gens}) != 1:
         raise InternalError("the numerator did not end up in a single degree")

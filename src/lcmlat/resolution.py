@@ -101,7 +101,6 @@ def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
     n = len(verts)
     if 1 << n > config.subset_cap:
         raise LimitExceeded(f"2^{n} subsets exceed cap {config.subset_cap}")
-    exps = [v.exps for v in verts]
     jmask = sum(1 << i for i, g in enumerate(verts) if g in jset)
 
     # the subsets not inside J, grouped by multidegree: (lcm, size) -> masks
@@ -109,7 +108,7 @@ def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
     groups = {}
     for m in range(1, 1 << n):
         low = m & -m
-        lcm_of[m] = tuple(map(max, lcm_of[m ^ low], exps[low.bit_length() - 1]))
+        lcm_of[m] = tuple(map(max, lcm_of[m ^ low], verts[low.bit_length() - 1]))
         if m & ~jmask:
             groups.setdefault((lcm_of[m], m.bit_count()), []).append(m)
 

@@ -50,19 +50,15 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     """Enumerate the box points inside I but outside J."""
     slim = pair.minimalize()
     slim.require_proper()
-    g = union_generators(slim).lcm().exps
+    g = union_generators(slim).lcm()
     cells = 1
     for e in g:
         cells *= e + 1
         if cells > _GRID_CAP:
             raise LimitExceeded(f"search box exceeds {_GRID_CAP} cells")
-    igens = [m.exps for m in slim.i.gens]
-    jgens = [m.exps for m in slim.j.gens]
     pts = []
     for c in product(*[range(e + 1) for e in g]):
-        if any(all(a <= b for a, b in zip(m, c)) for m in igens) and not any(
-            all(a <= b for a, b in zip(m, c)) for m in jgens
-        ):
+        if slim.i.contains(c) and not slim.j.contains(c):
             pts.append(c)
             if len(pts) > config.poset_cap:
                 raise LimitExceeded(

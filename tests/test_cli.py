@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lcmlat.cli import main
+from lcmlat.cli import _build_parser, main
 
 
 TRIANGLE = {
@@ -112,6 +112,17 @@ def test_field_option(tmp_path, capsys):
     assert code == 0 and json.loads(out)["betti"] == [1, 3, 2]
     code, _, _ = _run(["betti", src, "--field", "GF:notaprime"], capsys)
     assert code == 1
+
+
+def test_field_only_where_it_is_read(tmp_path, capsys):
+    src = _write(tmp_path, "i.json", TWO_VARS)
+    code, _, err = _run(["polarize", src, "--field", "Q"], capsys)
+    assert code == 1 and "--field" in err
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    assert {
+        name for name, p in subcommands.items()
+        if any("--field" in a.option_strings for a in p._actions)
+    } == {"betti", "pdim", "classify", "check-map"}
 
 
 def test_polarize_command(tmp_path, capsys):

@@ -106,6 +106,37 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         raise SystemExit("negative Betti number accepted")
     except InternalError:
         pass
+    from lcmlat import JoinMap, factor_map, lattice
+    lat = Semilattice.from_leq(["a", "b"], [[1, 1], [0, 1]])
+    lat.upper_masks = (0b11, 0b11)
+    try:
+        lat.top
+        raise SystemExit("a semilattice without a top accepted")
+    except InternalError:
+        pass
+    lattice.JoinMap.is_injective = property(lambda self: False)
+    try:
+        factor_map(JoinMap.identity(b2))
+        raise SystemExit("a non-injective map that glues no cover pair accepted")
+    except InternalError:
+        pass
+    from lcmlat import squarefree_check
+    GeneratorSet.is_squarefree_raw = lambda self: False
+    try:
+        squarefree_check(GeneratorSet(("x",), [Monomial((1,))]))
+        raise SystemExit("a squarefree verdict against the exponents accepted")
+    except InternalError:
+        pass
+    import importlib
+    from lcmlat import canonical_realization
+    realize = importlib.import_module("lcmlat.realize")
+    realize.realize = lambda lat, w, config: realize.Realization(
+        GeneratorSet(("x",), [Monomial((2,))]), (Monomial((2,)),))
+    try:
+        canonical_realization(boolean_semilattice(1))
+        raise SystemExit("a non-squarefree canonical realization accepted")
+    except InternalError:
+        pass
 """)
 
 

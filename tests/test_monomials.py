@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,10 +87,27 @@ def test_div_exact_or_error(ab):
 
 
 def test_monomial_rejects_junk():
-    with pytest.raises(InvalidInput):
-        Monomial([1, -1])
-    with pytest.raises(InvalidInput):
-        Monomial("zz")
+    for junk in ([1, -1], "zz", [None], 5):
+        with pytest.raises(InvalidInput):
+            Monomial(junk)
+
+
+def test_monomial_is_its_exponent_tuple():
+    m = Monomial([2, 0, 1])
+    assert m == (2, 0, 1) and hash(m) == hash((2, 0, 1))
+    assert {(2, 0, 1): "m"}[m] == "m" and {m: "m"}[(2, 0, 1)] == "m"
+    assert type(m.exps) is tuple and m.exps == (2, 0, 1)
+    other = Monomial([1, 1, 0])
+    for result in (m.lcm(other), m.gcd(other), m.mul(other), m.div(Monomial([1, 0, 1])),
+                   m.radical(), Monomial.one(3)):
+        assert type(result) is Monomial
+    with pytest.raises(AttributeError):
+        m.exps = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        m.degree_cache = 3
+    # a numpy integer on the other side is compared, not silently accepted
+    assert not Monomial((2,)).divides((np.int64(1),))
+    assert Monomial((1,)).divides((np.int64(2),))
 
 
 def test_strict_divisibility():
