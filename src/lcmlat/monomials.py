@@ -462,7 +462,10 @@ def _checked_shifts(gens: GeneratorSet, shifts):
         raise InvalidInput("one shift vector per generator is required")
     eps = []
     for i, row in enumerate(shifts):
-        row = tuple(int(e) for e in row)
+        try:
+            row = tuple(int(e) for e in row)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"shift {i} is not a list of integers") from None
         if len(row) != gens.nvars:
             raise InvalidInput(f"shift {i} has the wrong arity")
         if any(e < 0 for e in row):

@@ -11,20 +11,33 @@ The search fixes the least uncovered point in (degree, lex) order as the next
 interval's bottom and branches over tops of sufficient ceiling count, best
 candidates first, proving optimality by failing one level higher.
 
-Point sets are integer bitsets over the sorted points.  Per coordinate j and
-value v, threshold masks hold the points with p[j] >= v and those with
-p[j] <= v; the points above (below) p are the AND over j of the thresholds at
-p[j].  Level masks hold the points of each ceiling count, so the tops are
-walked level by level from the highest down, lowest index first.
+Two prunes leave the first partition found, and so every witness, as it
+would be without them.  A state is dead when some uncovered point p below the
+last top, of ceiling count under the target, has no top q of count at least
+the target with the whole interval [p, q] uncovered: any interval that later
+covers p contains [p, q] for its top q, and only points below the last top
+can lose such a q.  A dead state goes to the fail cache like an exhausted
+one; each point's last free top is tested first.  On a squarefree box the Hilbert depth
+(Bruns-Krattenthaler-Uliczka) of the point counts by support size bounds
+Stanley depth from above, so the search that would fail one level higher is
+skipped when the bound is reached.
+
+The box cells are bitsets in mixed radix, and the point set is the union of
+the generators' up-sets in I less those in J.  Point sets of the search are
+integer bitsets over the sorted points.  Per coordinate j and value v,
+threshold masks hold the points with p[j] >= v and those with p[j] <= v; the
+points above (below) p are the AND over j of the thresholds at p[j].  Level
+masks hold the points of each ceiling count, so the tops are walked level by
+level from the highest down, lowest index first.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate, product
-from operator import or_
+from math import comb
+from operator import eq, or_
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded
-from .lattice import _bits
 from .monomials import QuotientPair, union_generators
 
 _FAIL_CACHE_CAP = 1 << 18
@@ -43,11 +56,11 @@ class CharacteristicPoset:
 
     def ceiling_count(self, point):
         """Coordinates pinned to the box top; zero-capped variables count."""
-        return sum(1 for a, b in zip(point, self.ceiling) if a == b)
+        return sum(map(eq, point, self.ceiling))
 
 
 def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> CharacteristicPoset:
-    """Enumerate the box points inside I but outside J."""
+    """The box points inside I but outside J, from bitsets of the box cells."""
     slim = pair.minimalize()
     slim.require_proper()
     g = union_generators(slim).lcm()
@@ -56,15 +69,45 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
         cells *= e + 1
         if cells > _GRID_CAP:
             raise LimitExceeded(f"search box exceeds {_GRID_CAP} cells")
-    pts = []
-    for c in product(*[range(e + 1) for e in g]):
-        if slim.i.contains(c) and not slim.j.contains(c):
-            pts.append(c)
-            if len(pts) > config.poset_cap:
-                raise LimitExceeded(
-                    f"characteristic poset exceeds cap {config.poset_cap}"
-                )
-    pts.sort(key=lambda c: (sum(c), c))
+    # cells are numbered in mixed radix, the last coordinate fastest, so cell
+    # order is lex order; stride[j] is the step of coordinate j
+    stride = [1] * len(g)
+    for j in range(len(g) - 2, -1, -1):
+        stride[j] = stride[j + 1] * (g[j + 1] + 1)
+    box = (1 << cells) - 1
+
+    def ge(j, v):
+        """The cells with c[j] >= v: a run of ones repeated every period."""
+        period = stride[j] * (g[j] + 1)
+        mask = (1 << period) - (1 << (v * stride[j]))
+        while period < cells:
+            mask |= mask << period
+            period <<= 1
+        return mask & box
+
+    def upset(gens):
+        """The cells that some generator divides."""
+        found = 0
+        for m in gens:
+            cone = box
+            for j, v in enumerate(m):
+                if v:
+                    cone &= ge(j, v)
+            found |= cone
+        return found
+
+    inside = upset(slim.i.gens) & ~upset(slim.j.gens)
+    if inside.bit_count() > config.poset_cap:
+        raise LimitExceeded(f"characteristic poset exceeds cap {config.poset_cap}")
+    digits = format(inside, "b")[::-1]
+    found = []
+    k = digits.find("1")
+    while k >= 0:
+        found.append(k)
+        k = digits.find("1", k + 1)
+    coords = [[c // s % (e + 1) for c in found] for s, e in zip(stride, g)]
+    # a stable sort by degree: the cells come in lex order
+    pts = sorted(zip(*coords), key=sum) if g else [()] * len(found)
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
 
 
@@ -86,49 +129,108 @@ def _interval_masks(points):
     return up, down
 
 
-def _lsb_index(mask):
-    return (mask & -mask).bit_length() - 1
-
-
 def _cover_search(target, full, up, down, level):
     """A partition into intervals whose tops all reach `target`, or None.
 
     level[r] is the mask of the points of ceiling count r; the tops are tried
-    from the highest level down, lowest index first.
+    from the highest level down, lowest index first.  Each frame of the one
+    explicit stack is (uncovered, a, above, r, pending): the state, its
+    bottom, the uncovered points above it, the level walked and the tops of
+    that level not yet tried.  Dead and exhausted states go to the fail cache.
     """
+    high = 0
+    for m in level[target:]:
+        high |= m
+    low = full & ~high  # the points that need a top above them
+    good = [-1] * len(up)  # the last top found free above each low point
     fail = set()
-    reach = range(len(level) - 1, target - 1, -1)
 
-    def candidates(a, uncovered):
-        above = up[a] & uncovered
-        for r in reach:
-            yield from _bits(above & level[r])
+    def dead(rest, b):
+        short = down[b] & rest & low
+        while short:
+            p = (short & -short).bit_length() - 1
+            short &= short - 1
+            q = good[p]
+            if q >= 0 and up[p] & down[q] & ~rest == 0:
+                continue
+            tops = up[p] & rest & high
+            while tops:
+                q = (tops & -tops).bit_length() - 1
+                if up[p] & down[q] & ~rest == 0:
+                    good[p] = q
+                    break
+                tops &= tops - 1
+            else:
+                return True
+        return False
 
+    top = len(level) - 1
     chosen = []
-    a0 = _lsb_index(full)
-    frames = [(full, candidates(a0, full), a0)]
-    while frames:
-        uncovered, cands, a = frames[-1]
-        for b in cands:
-            cover = up[a] & down[b]
-            if cover & uncovered != cover:
+    frames = []  # (uncovered, a, above, r, pending) of each open choice
+    uncovered = full
+    a = 0
+    above = up[a]
+    r = top
+    pending = above & level[r]
+    while True:
+        if not pending:
+            if r > target:
+                r -= 1
+                pending = above & level[r]
                 continue
-            rest = uncovered & ~cover
-            if rest in fail:
-                continue
-            chosen.append((a, b))
-            if rest == 0:
-                return chosen
-            na = _lsb_index(rest)
-            frames.append((rest, candidates(na, rest), na))
-            break
-        else:
             if len(fail) < _FAIL_CACHE_CAP:
                 fail.add(uncovered)
-            frames.pop()
-            if chosen:
-                chosen.pop()
-    return None
+            if not frames:
+                return None
+            chosen.pop()
+            uncovered, a, above, r, pending = frames.pop()
+            continue
+        bit = pending & -pending
+        pending ^= bit
+        b = bit.bit_length() - 1
+        cover = up[a] & down[b]
+        if cover & uncovered != cover:
+            continue
+        rest = uncovered ^ cover
+        if rest in fail:
+            continue
+        chosen.append((a, b))
+        if not rest:
+            return chosen
+        if dead(rest, b):
+            chosen.pop()
+            if len(fail) < _FAIL_CACHE_CAP:
+                fail.add(rest)
+            continue
+        frames.append((uncovered, a, above, r, pending))
+        uncovered = rest
+        a = (rest & -rest).bit_length() - 1
+        above = up[a] & rest
+        r = top
+        pending = above & level[r]
+
+
+def _hilbert_cap(poset):
+    """An upper bound on Stanley depth: the variable count, or on a squarefree
+    box the zero-capped variables plus the Hilbert depth of the rest.
+
+    With f[j] the points of j coordinates at 1, sdepth >= d on the other
+    variables needs sum_{j<=k} (-1)^(k-j) C(d-j, k-j) f[j] >= 0 for every
+    k <= d (Bruns-Krattenthaler-Uliczka): one interval [a, b] with |b| >= d
+    adds C(|b|-|a|+k-d-1, k-|a|) >= 0 to the sum, by Vandermonde.
+    """
+    nvars = len(poset.ceiling)
+    if max(poset.ceiling, default=0) > 1:
+        return nvars
+    zero = poset.ceiling.count(0)
+    f = [0] * (nvars + 1)
+    for p in poset.points:
+        f[sum(p)] += 1
+    return zero + max(
+        d for d in range(nvars - zero + 1)
+        if all(sum((-1) ** (k - j) * comb(d - j, k - j) * f[j] for j in range(k + 1)) >= 0
+               for k in range(d + 1))
+    )
 
 
 @dataclass
@@ -166,6 +268,7 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
     witness = [(i, i) for i in range(n)]
     # no interval bottomed at i can top out above the highest level over i
     tcap = min(next(r for r in range(nvars, -1, -1) if u & level[r]) for u in up)
+    tcap = min(tcap, _hilbert_cap(poset))
     for target in range(value + 1, tcap + 1):
         found = _cover_search(target, full, up, down, level)
         if found is None:

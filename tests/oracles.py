@@ -51,8 +51,8 @@ def brute_sdepth(points, ceiling):
     return best(frozenset(points)) if points else -1
 
 
-def brute_sdepth_pair(pair):
-    """Characteristic box points computed from scratch, then brute_sdepth."""
+def box_points(pair):
+    """(points, g): the box points in I but not in J, computed from scratch."""
     from lcmlat import union_generators
 
     pr = pair.minimalize()
@@ -63,7 +63,62 @@ def brute_sdepth_pair(pair):
         in_j = any(all(c[j] >= w.exps[j] for j in range(len(g))) for w in pr.j.gens)
         if in_i and not in_j:
             pts.append(c)
-    return brute_sdepth(pts, g)
+    return pts, g
+
+
+def brute_sdepth_pair(pair):
+    """Characteristic box points computed from scratch, then brute_sdepth."""
+    return brute_sdepth(*box_points(pair))
+
+
+def first_found_witness(points, ceiling):
+    """The first partition a plain depth-first search finds, as (bottom, top) pairs.
+
+    Points are taken in (degree, lex) order.  For each target from one above
+    the lowest ceiling count up to the least, over the points p, of the
+    highest count above p, the search covers the least uncovered point a by
+    an interval [a, b] of uncovered points, trying the tops b of count at
+    least the target from the highest count down and in point order within a
+    count, and recurses on the rest.  The partition of the last target that
+    succeeds is returned; singletons when none does.
+    """
+    pts = sorted(points, key=lambda c: (sum(c), c))
+    order = {p: i for i, p in enumerate(pts)}
+    n = len(ceiling)
+
+    def leq(a, b):
+        return all(a[j] <= b[j] for j in range(n))
+
+    def rho(b):
+        return sum(1 for j in range(n) if b[j] == ceiling[j])
+
+    def search(uncovered, target, failed):
+        if not uncovered:
+            return []
+        if uncovered in failed:
+            return None
+        a = uncovered[0]
+        tops = sorted((q for q in uncovered if leq(a, q) and rho(q) >= target),
+                      key=lambda q: (-rho(q), order[q]))
+        for b in tops:
+            block = [p for p in pts if leq(a, p) and leq(p, b)]
+            if all(p in uncovered for p in block):
+                rest = tuple(p for p in uncovered if p not in block)
+                found = search(rest, target, failed)
+                if found is not None:
+                    return [(a, b)] + found
+        failed.add(uncovered)
+        return None
+
+    witness = [(p, p) for p in pts]
+    lowest = min(rho(p) for p in pts)
+    cap = min(max(rho(q) for q in pts if leq(p, q)) for p in pts)
+    for target in range(lowest + 1, cap + 1):
+        found = search(tuple(pts), target, set())
+        if found is None:
+            break
+        witness = found
+    return tuple(witness)
 
 
 # ---------------- exact rank over Fraction ----------------

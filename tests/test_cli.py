@@ -190,6 +190,15 @@ def test_deform_command(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("shifts", [[["a", 0], [0, 0]], [5, [0, 0]]])
+def test_deform_malformed_shifts_exit_1(tmp_path, capsys, shifts):
+    src = _write(tmp_path, "i.json", TWO_VARS)
+    bad = _write(tmp_path, "bad.json", shifts)
+    code, out, err = _run(["deform", src, "--shifts", bad], capsys)
+    assert code == 1
+    assert out == "" and "shift 0" in err and "Traceback" not in err
+
+
 def test_generic_command(tmp_path, capsys):
     src = _write(tmp_path, "i.json", TWO_VARS)
     code, out, _ = _run(["generic", src], capsys)
@@ -319,7 +328,10 @@ def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     from lcmlat import sdepth
 
     monkeypatch.setattr(sdepth, "_cover_search", lambda *args: [(0, 0)])
-    src = _write(tmp_path, "i.json", TWO_VARS)
+    src = _write(
+        tmp_path, "i.json",
+        {"variables": ["x", "y", "z"], "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    )
     code, out, err = _run(["sdepth", src], capsys)
     assert code == 3
     assert out == "" and err.startswith("internal error:")

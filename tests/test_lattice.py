@@ -94,7 +94,8 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         pass
     sdepth._cover_search = lambda *args: [(0, 0)]
     try:
-        sdepth_of_ideal(GeneratorSet(("x", "y"), [Monomial((1, 0)), Monomial((0, 1))]))
+        sdepth_of_ideal(GeneratorSet(
+            ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))]))
         raise SystemExit("unverified sdepth witness accepted")
     except InternalError:
         pass

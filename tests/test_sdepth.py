@@ -20,7 +20,7 @@ from lcmlat import (
 from lcmlat import sdepth as sdepth_module
 from lcmlat.config import Config
 
-from oracles import brute_sdepth_pair
+from oracles import box_points, brute_sdepth_pair, first_found_witness
 
 
 def _gens(names, *monos):
@@ -140,6 +140,62 @@ def test_matches_brute_force_on_random_squarefree_ideals(rng):
             assert sdepth_solve(pair).sdepth == brute_sdepth_pair(pair)
 
 
+def _random_squarefree_pairs(rng, count):
+    """I, S/I and proper pairs I/J on squarefree boxes, some variables unused."""
+    pairs = []
+    while len(pairs) < count:
+        nvars = rng.randint(2, 5)
+        unused = set(rng.sample(range(nvars), rng.randint(0, 1)))
+        gens = [Monomial([0 if j in unused else rng.randint(0, 1) for j in range(nvars)])
+                for _ in range(rng.randint(1, 5))]
+        gens = [m for m in gens if not m.is_unit()]
+        if not gens:
+            continue
+        ideal = GeneratorSet(tuple(f"x{j}" for j in range(nvars)), gens).minimalize()
+        j_gens = [g.lcm(Monomial([0 if j in unused else rng.randint(0, 1)
+                                  for j in range(nvars)])) for g in ideal.gens]
+        pair = QuotientPair(ideal, GeneratorSet(ideal.variables, j_gens))
+        pairs += [ideal_pair(ideal), quotient_ring_pair(ideal)]
+        if pair.is_proper():
+            pairs.append(pair)
+    return pairs
+
+
+def test_hilbert_cap_never_below_sdepth(rng):
+    kinds = set()
+    for pair in _random_squarefree_pairs(rng, 60):
+        pos = characteristic_poset(pair)
+        assert sdepth_module._hilbert_cap(pos) >= brute_sdepth_pair(pair)
+        kinds.add(0 in pos.ceiling)
+    assert kinds == {True, False}
+
+
+def test_hilbert_cap_values():
+    # (x, y): f = (0, 2, 1) allows depth 1 only; (x, y, z) allows 2
+    cap = sdepth_module._hilbert_cap
+    assert cap(characteristic_poset(ideal_pair(_variables_ideal(2)))) == 1
+    assert cap(characteristic_poset(ideal_pair(_variables_ideal(3)))) == 2
+    # not squarefree: no bound beyond the variable count
+    assert cap(characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2", "y")))) == 2
+    # a zero-capped spectator counts in full: (x) in k[x, y] has depth 2
+    assert cap(characteristic_poset(ideal_pair(_gens(("x", "y"), "x")))) == 2
+
+
+def test_witness_matches_first_found_oracle(rng):
+    from conftest import random_ideal, random_proper_pair
+
+    for _ in range(15):
+        gens = random_ideal(rng, max_vars=3, max_gens=4, max_exp=2).minimalize()
+        for pair in (ideal_pair(gens), quotient_ring_pair(gens),
+                     random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=2)):
+            assert sdepth_solve(pair).witness == first_found_witness(*box_points(pair))
+
+
+def test_witness_matches_first_found_oracle_on_squarefree_boxes(rng):
+    for pair in _random_squarefree_pairs(rng, 40):
+        assert sdepth_solve(pair).witness == first_found_witness(*box_points(pair))
+
+
 # ---------------- order masks and search order ----------------
 
 
@@ -186,11 +242,10 @@ def test_witness_of_four_atom_lattice_is_frozen():
 
 
 def test_unverified_witness_raises(monkeypatch):
-    # (x, y): the search at depth 2 returns one singleton for three points
+    # (x, y, z): the search at depth 2 returns one singleton for seven points
     monkeypatch.setattr(sdepth_module, "_cover_search", lambda *args: [(0, 0)])
     with pytest.raises(InternalError):
-        sdepth_of_ideal(_gens(("x", "y"), "x", "y"))
-
+        sdepth_of_ideal(_gens(("x", "y", "z"), "x", "y", "z"))
 
 
 def test_solver_witness_verifies():
@@ -249,6 +304,34 @@ def test_poset_cap_config():
     gens = _gens(("x", "y"), "x", "y")
     with pytest.raises(LimitExceeded):
         characteristic_poset(ideal_pair(gens), cfg)
+
+
+def test_poset_cap_boundary():
+    pair = ideal_pair(_gens(("x", "y", "z"), "x*y", "y^2*z", "z^3"))
+    size = characteristic_poset(pair).size
+    assert characteristic_poset(pair, Config(poset_cap=size)).size == size
+    with pytest.raises(LimitExceeded, match=f"^characteristic poset exceeds cap {size - 1}$"):
+        characteristic_poset(pair, Config(poset_cap=size - 1))
+
+
+def test_grid_cap_boundary():
+    # 2000 x 2000 cells is the cap itself; one more row of cells is past it
+    pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x^1999*y^1999")))
+    assert pos.points == ((1999, 1999),)
+    assert sdepth_module._GRID_CAP == 4_000_000
+    with pytest.raises(LimitExceeded, match="^search box exceeds 4000000 cells$"):
+        characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2000*y^1999")))
+
+
+def test_poset_matches_box_scan(rng):
+    from conftest import random_proper_pair
+
+    for _ in range(20):
+        pair = random_proper_pair(rng, max_vars=4, max_gens=3, max_exp=3)
+        pts, g = box_points(pair)
+        pos = characteristic_poset(pair)
+        assert pos.ceiling == g
+        assert pos.points == tuple(sorted(pts, key=lambda c: (sum(c), c)))
 
 
 # ---------------- reporting ----------------
