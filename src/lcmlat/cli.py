@@ -164,7 +164,10 @@ def _cmd_equalize(args):
         if not args.antichain:
             raise InvalidInput("a lattice input needs --antichain")
         lat = _lattice.lattice_from_json(doc, cfg)
-        ids = [int(t) for t in args.antichain.split(",")]
+        try:
+            ids = [int(t) for t in args.antichain.split(",")]
+        except ValueError:
+            raise InvalidInput(f"--antichain wants comma-separated indices: {args.antichain!r}")
         w = _equalize_degrees(lat, ids, config=cfg)
         _emit(args, _mono.weighting_to_json(w))
         return
@@ -296,7 +299,8 @@ def _cmd_check_map(args):
     if _kind(mdoc) != "map":
         raise InvalidInput("the map document needs an 'image' list")
     check = _resolution.pdim_pair_invariance(
-        pa, pb, [int(x) for x in mdoc["image"]], cfg, with_sdepth=args.with_sdepth
+        pa, pb, _lattice.json_ints(mdoc["image"], "the map image"), cfg,
+        with_sdepth=args.with_sdepth
     )
     doc = {
         "bijective": check.bijective,

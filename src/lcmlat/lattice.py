@@ -1,9 +1,11 @@
 """Finite join-semilattices and the surgery used on them.
 
-A Semilattice stores the full order relation as a boolean matrix plus a join
-table, which Semilattice.from_leq alone derives from the order.  There is
-always a unique top; a bottom is NOT assumed (the virtual bottom that some
-formulas need is handled by the callers, it is never stored as an element).  Elements are integer indices; labels are cosmetic.
+A Semilattice stores its order once, as one upper-set bitmask per element
+(bit b of upper_masks[a] is set when a <= b), plus a join table of tuples,
+which Semilattice.from_leq alone derives from the order.  There is always a
+unique top; a bottom is NOT assumed (the virtual bottom that some formulas
+need is handled by the callers, it is never stored as an element).  Elements
+are integer indices; labels are cosmetic.
 
 Surgery: pseudo-inverses of surjective join-preserving maps, collapse of a
 meet-irreducible element onto its unique cover, and factoring an arbitrary
@@ -14,8 +16,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
-
-import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import (
@@ -31,10 +31,6 @@ from .errors import (
 )
 
 
-def _bool_matmul(a, b):
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -42,14 +38,14 @@ def _bits(mask):
         mask ^= low
 
 
-def _closure(leq):
-    """Reflexive-transitive closure of a boolean relation, in place."""
-    np.fill_diagonal(leq, True)
-    while True:
-        nxt = leq | _bool_matmul(leq, leq)
-        if np.array_equal(nxt, leq):
-            return leq
-        leq = nxt
+def _closure(upper):
+    """Transitive closure of a reflexive relation given as upper-set bitmasks, in place."""
+    for k in range(len(upper)):  # Warshall: k joins the paths through it
+        bit, uk = 1 << k, upper[k]
+        for i, ui in enumerate(upper):
+            if ui & bit:
+                upper[i] = ui | uk
+    return upper
 
 
 def _least_upper_bounds(upper):
@@ -60,36 +56,45 @@ def _least_upper_bounds(upper):
     CyclicRelation if two elements share an upper set and NotASemilattice if
     some pair has no least upper bound.
     """
-    n = len(upper)
     by_upper = {}
     for i, m in enumerate(upper):
         j = by_upper.setdefault(m, i)
         if j != i:
             raise CyclicRelation(j, i)
-    join = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        ua = upper[a]
-        row = [by_upper.get(ua & ub) for ub in upper[a:]]
+    join = []
+    for a, ua in enumerate(upper):
+        # join is symmetric: the left part of row a is column a of the rows above
+        row = [r[a] for r in join] + [by_upper.get(ua & ub) for ub in upper[a:]]
         if None in row:
-            raise NotASemilattice(a, a + row.index(None))
-        join[a, a:] = row
-        join[a:, a] = row
-    return join
+            raise NotASemilattice(a, row.index(None))
+        join.append(tuple(row))
+    return tuple(join)
+
+
+class _OrderView:
+    """lat.leq[a, b] and lat.leq.tolist(), read off the upper-set bitmasks."""
+
+    # matrix-style readers keep working while the masks stay the only order stored
+    def __init__(self, upper):
+        self._upper = upper
+
+    def __getitem__(self, pair):
+        a, b = pair
+        return bool(self._upper[a] >> b & 1)
+
+    def tolist(self):
+        return [[bool(m >> b & 1) for b in range(len(self._upper))] for m in self._upper]
 
 
 class Semilattice:
     """Finite join-semilattice on elements 0..n-1 with a unique top."""
 
-    def __init__(self, labels, leq, join, _validated=False):
+    def __init__(self, labels, upper, join, _validated=False):
         if not _validated:
             raise InvalidInput("use the from_* constructors")
         self.n = len(labels)
         self.labels = tuple(str(x) for x in labels)
-        leq = np.array(leq, dtype=bool)
-        leq.flags.writeable = False
-        self.leq = leq
-        join = np.asarray(join, dtype=np.int32)
-        join.flags.writeable = False
+        self.upper_masks = tuple(upper)
         self.join = join
 
     # ---------------- constructors ----------------
@@ -100,20 +105,21 @@ class Semilattice:
         n = len(labels)
         if n > config.element_cap:
             raise LimitExceeded(f"{n} elements exceeds cap {config.element_cap}")
-        leq = np.zeros((n, n), dtype=bool)
+        upper = [1 << i for i in range(n)]
         for lo, hi in pairs:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise InvalidInput(f"relation ({lo},{hi}) out of range")
-            leq[lo, hi] = True
-        return cls.from_leq(labels, _closure(leq), config)
+            upper[lo] |= 1 << hi
+        return cls.from_leq(labels, _closure(upper), config)
 
     @classmethod
-    def from_leq(cls, labels, leq, config: Config = DEFAULT):
-        """Build from a transitively closed order matrix.
+    def from_leq(cls, labels, upper, config: Config = DEFAULT):
+        """Build from a transitively closed order, one upper-set bitmask per element.
 
-        This is the one place a join table is derived and checked: every other
-        constructor builds an order matrix and calls this one.  The order must
-        be reflexive (else InvalidInput) and antisymmetric (else
+        Bit b of upper[a] is set when a <= b.  This is the one place a join
+        table is derived and checked: every other constructor builds the
+        masks and calls this one.  The order must be reflexive and hold no
+        bit past the last element (else InvalidInput) and antisymmetric (else
         CyclicRelation), and every pair needs a least upper bound (else
         NotASemilattice).  Transitivity is the caller's promise;
         from_relations takes the closure.
@@ -123,42 +129,47 @@ class Semilattice:
             raise InvalidInput("a semilattice needs at least one element")
         if n > config.element_cap:
             raise LimitExceeded(f"{n} elements exceeds cap {config.element_cap}")
-        leq = np.asarray(leq, dtype=bool)
-        if leq.shape != (n, n) or not leq.diagonal().all():
+        upper = tuple(upper)
+        if len(upper) != n or any(not m >> a & 1 or m >> n for a, m in enumerate(upper)):
             raise InvalidInput("the order must be a reflexive relation on the labels")
-        join = _least_upper_bounds([_row_mask(leq[i]) for i in range(n)])
-        return cls(labels, leq, join, _validated=True)
+        return cls(labels, upper, _least_upper_bounds(upper), _validated=True)
 
     @classmethod
     def from_join_table(cls, labels, join, config: Config = DEFAULT):
         """Build from a join table; the table is checked against the order it induces."""
         n = len(labels)
-        join = np.asarray(join, dtype=np.int32)
-        if join.shape != (n, n):
+        join = tuple(map(tuple, join))
+        if len(join) != n or any(len(row) != n for row in join):
             raise InvalidInput("join table shape mismatch")
-        if not np.array_equal(join, join.T):
-            raise NotASemilattice(*map(int, np.argwhere(join != join.T)[0]))
-        leq = join == np.arange(n)  # a <= b  <=>  a v b = b
-        if not leq.diagonal().all():
+        skew = [(a, b) for a in range(n) for b in range(a + 1, n) if join[a][b] != join[b][a]]
+        if skew:
+            raise NotASemilattice(*skew[0])
+        # a <= b  <=>  a v b = b
+        upper = [sum(1 << b for b, ab in enumerate(row) if ab == b) for row in join]
+        if any(not m >> a & 1 for a, m in enumerate(upper)):
             raise InvalidInput("join table is not idempotent")
-        if not np.array_equal(leq, _closure(leq.copy())):
+        if upper != _closure(list(upper)):
             raise InvalidInput("join table induces a non-transitive order")
-        built = cls.from_leq(labels, leq, config)
-        if not np.array_equal(built.join, join):
-            bad = np.argwhere(built.join != join)[0]
-            raise NotASemilattice(int(bad[0]), int(bad[1]))
+        built = cls.from_leq(labels, upper, config)
+        wrong = [(a, b) for a in range(n) for b in range(n) if built.join[a][b] != join[a][b]]
+        if wrong:
+            raise NotASemilattice(*wrong[0])
         return built
 
     # ---------------- derived structure ----------------
 
     @cached_property
-    def upper_masks(self):
-        return tuple(_row_mask(self.leq[i]) for i in range(self.n))
+    def leq(self):
+        return _OrderView(self.upper_masks)
 
     @cached_property
     def lower_masks(self):
-        t = self.leq.T
-        return tuple(_row_mask(t[i]) for i in range(self.n))
+        """Per element, the bitmask of the elements below it: the masks transposed."""
+        lower = [0] * self.n
+        for a, m in enumerate(self.upper_masks):
+            for b in _bits(m):
+                lower[b] |= 1 << a
+        return tuple(lower)
 
     @cached_property
     def top(self):
@@ -168,13 +179,8 @@ class Semilattice:
         return tops[0]
 
     @cached_property
-    def cover_matrix(self):
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        return lt & ~_bool_matmul(lt, lt)
-
-    @cached_property
     def covers(self):
-        return tuple((int(a), int(b)) for a, b in np.argwhere(self.cover_matrix))
+        return tuple((a, b) for a, above in enumerate(self.upper_covers) for b in above)
 
     @cached_property
     def atoms(self):
@@ -183,10 +189,15 @@ class Semilattice:
 
     @cached_property
     def upper_covers(self):
-        out = [[] for _ in range(self.n)]
-        for a, b in self.covers:
-            out[a].append(b)
-        return tuple(tuple(x) for x in out)
+        """Per element, its covers ascending: its strict up-set less theirs."""
+        out = []
+        for a, m in enumerate(self.upper_masks):
+            strict = m & ~(1 << a)
+            beyond = 0
+            for b in _bits(strict):
+                beyond |= self.upper_masks[b] & ~(1 << b)
+            out.append(tuple(_bits(strict & ~beyond)))
+        return tuple(out)
 
     @cached_property
     def lower_covers(self):
@@ -208,19 +219,16 @@ class Semilattice:
     @cached_property
     def atom_sets(self):
         """Per element, bitmask over atom positions of the atoms below it."""
-        out = []
-        for x in range(self.n):
-            m = 0
-            for t, a in enumerate(self.atoms):
-                if self.leq[a, x]:
-                    m |= 1 << t
-            out.append(m)
+        out = [0] * self.n
+        for t, a in enumerate(self.atoms):
+            for x in _bits(self.upper_masks[a]):
+                out[x] |= 1 << t
         return tuple(out)
 
     @cached_property
     def is_atomistic(self):
-        for x in range(self.n):
-            below = [a for a in self.atoms if self.leq[a, x]]
+        for x, low in enumerate(self.lower_masks):
+            below = [a for a in self.atoms if low >> a & 1]
             if self.join_of(below) != x:
                 return False
         return True
@@ -229,8 +237,7 @@ class Semilattice:
     def heights(self):
         h = [0] * self.n
         for x in sorted(range(self.n), key=lambda i: self.lower_masks[i].bit_count()):
-            lc = self.lower_covers[x]
-            h[x] = 1 + max((h[c] for c in lc), default=-1)
+            h[x] = 1 + max((h[c] for c in self.lower_covers[x]), default=-1)
         return tuple(h)
 
     def join_of(self, ids):
@@ -239,18 +246,11 @@ class Semilattice:
             raise InvalidInput("join of an empty set is undefined here")
         acc = ids[0]
         for i in ids[1:]:
-            acc = int(self.join[acc, i])
+            acc = self.join[acc][i]
         return acc
 
     def __repr__(self):
         return f"Semilattice(n={self.n})"
-
-
-def _row_mask(row):
-    m = 0
-    for j in np.nonzero(row)[0]:
-        m |= 1 << int(j)
-    return m
 
 
 def boolean_semilattice(k, config: Config = DEFAULT):
@@ -267,11 +267,8 @@ def family_semilattice(family, config: Config = DEFAULT):
     """A Moore family of atom bitmasks under inclusion; masks ascending, labels "{1,3}"."""
     masks = sorted(family)
     labels = ["{" + ",".join(str(t + 1) for t in _bits(m)) + "}" for m in masks]
-    m = np.array(masks)
-    leq = np.empty((len(masks), len(masks)), dtype=bool)
-    for i in range(len(masks)):  # row by row: an n x n integer broadcast raises peak memory
-        leq[i] = (m | m[i]) == m
-    return Semilattice.from_leq(labels, leq, config)
+    upper = [sum(1 << i for i, b in enumerate(masks) if a & ~b == 0) for a in masks]
+    return Semilattice.from_leq(labels, upper, config)
 
 
 # ---------------- reports ----------------
@@ -313,12 +310,12 @@ class JoinMap:
         if any(not 0 <= x < target.n for x in image):
             raise InvalidInput("image index out of range")
         self.image = image
-        arr = np.asarray(image, dtype=np.int32)
-        lhs = arr[source.join]
-        rhs = target.join[arr[:, None], arr[None, :]]
-        if not np.array_equal(lhs, rhs):
-            a, b = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotJoinPreserving(a, b)
+        # join is symmetric, so the pairs a <= b (as indices) settle every pair
+        for a, row in enumerate(source.join):
+            image_row = target.join[image[a]]
+            for b in range(a, source.n):
+                if image[row[b]] != image_row[image[b]]:
+                    raise NotJoinPreserving(a, b)
 
     @classmethod
     def identity(cls, lat):
@@ -413,10 +410,11 @@ def collapse(lat: Semilattice, a: int, config: Config = DEFAULT):
         raise NotMeetIrreducible(a)
     ap = lat.upper_covers[a][0]
     keep = [x for x in range(lat.n) if x != a]
-    # the quotient's order is the order restricted to every element but a
-    quot = Semilattice.from_leq(
-        [lat.labels[x] for x in keep], lat.leq[np.ix_(keep, keep)], config
-    )
+    # the quotient's order is the order restricted to every element but a:
+    # bit a leaves each remaining mask and the bits above it move down one
+    below = (1 << a) - 1
+    upper = [(m & below) | (m >> (a + 1) << a) for x, m in enumerate(lat.upper_masks) if x != a]
+    quot = Semilattice.from_leq([lat.labels[x] for x in keep], upper, config)
     new_index = {x: i for i, x in enumerate(keep)}
     new_index[a] = new_index[ap]
     pi = JoinMap(lat, quot, [new_index[x] for x in range(lat.n)])
@@ -518,23 +516,21 @@ def _refined_colors(lat):
             )
             for x in range(lat.n)
         ]
-        if _partition_of(nxt) == _partition_of(colors):
+        if sorted(_groups(nxt).values()) == sorted(_groups(colors).values()):
             return colors
         colors = nxt
 
 
-def _partition_of(colors):
+def _groups(keys):
+    """Per key, the ascending positions that carry it."""
     groups = {}
-    for i, c in enumerate(colors):
+    for i, c in enumerate(keys):
         groups.setdefault(c, []).append(i)
-    return sorted(map(tuple, groups.values()))
+    return groups
 
 
 def _canon_general(lat, config):
-    colors = _refined_colors(lat)
-    groups = {}
-    for i, c in enumerate(colors):
-        groups.setdefault(c, []).append(i)
+    groups = _groups(_refined_colors(lat))
     classes = [groups[c] for c in sorted(groups)]
     total = 1
     for cl in classes:
@@ -547,12 +543,12 @@ def _canon_general(lat, config):
     best = None
     for parts in itertools.product(*[itertools.permutations(cl) for cl in classes]):
         order = [x for part in parts for x in part]
-        pos = {x: i for i, x in enumerate(order)}
         bits = 0
         at = 0
         for x in order:
+            ux = lat.upper_masks[x]
             for y in order:
-                if lat.leq[x, y]:
+                if ux >> y & 1:
                     bits |= 1 << at
                 at += 1
         if best is None or bits < best:
@@ -577,10 +573,17 @@ def lattice_to_json(lat: Semilattice) -> dict:
     return {"elements": list(lat.labels), "covers": [list(c) for c in lat.covers]}
 
 
+def json_ints(values, what):
+    """A JSON array of integers as a list; InvalidInput for floats, strings or other shapes."""
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, int) for v in values):
+        raise InvalidInput(f"{what} must be a list of integers, got {values!r}")
+    return list(values)
+
+
 def lattice_from_json(doc, config: Config = DEFAULT) -> Semilattice:
     try:
         labels = list(doc["elements"])
-        covers = [(int(a), int(b)) for a, b in doc["covers"]]
+        covers = [(a, b) for a, b in (json_ints(c, "a cover") for c in doc["covers"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad lattice document: {exc}")
     return Semilattice.from_relations(labels, covers, config)
@@ -593,9 +596,7 @@ def lattice_to_dot(lat: Semilattice) -> str:
         lines.append(f'  n{i} [label="{esc}"];')
     for a, b in lat.covers:
         lines.append(f"  n{a} -> n{b};")
-    byh = {}
-    for i, h in enumerate(lat.heights):
-        byh.setdefault(h, []).append(i)
+    byh = _groups(lat.heights)
     for h in sorted(byh):
         row = " ".join(f"n{i};" for i in byh[h])
         lines.append(f"  {{ rank=same; {row} }}")

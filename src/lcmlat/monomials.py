@@ -16,10 +16,9 @@ member or dict key for the other.
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, le, sub
+from itertools import accumulate
+from operator import add, le, or_, sub
 from typing import Optional
-
-import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     LimitExceeded,
     NotSquarefree,
 )
-from .lattice import Semilattice
+from .lattice import Semilattice, _bits, json_ints
 
 
 class Monomial(tuple):
@@ -247,6 +246,24 @@ def union_generators(pair: QuotientPair) -> GeneratorSet:
 # ---------------- the lcm-semilattice ----------------
 
 
+def _interval_masks(points):
+    """up[i], down[i]: bitmasks of the points componentwise above and below point i."""
+    n = len(points)
+    up = [(1 << n) - 1] * n
+    down = list(up)
+    for coord in zip(*points):
+        at = {}  # per value that occurs, the points taking it
+        for i, v in enumerate(coord):
+            at[v] = at.get(v, 0) | 1 << i
+        values = sorted(at)
+        at_most = dict(zip(values, accumulate(map(at.get, values), or_)))
+        at_least = dict(zip(values[::-1], accumulate(map(at.get, values[::-1]), or_)))
+        for i, v in enumerate(coord):
+            up[i] &= at_least[v]
+            down[i] &= at_most[v]
+    return up, down
+
+
 @dataclass
 class LcmLattice:
     lattice: Semilattice
@@ -280,13 +297,9 @@ def lcm_semilattice(gens: GeneratorSet, config: Config = DEFAULT) -> LcmLattice:
                     fresh.append(l)
         frontier = fresh
     monos = sorted(seen, key=Monomial.sort_key)
-    n = len(monos)
-    E = np.array(monos, dtype=np.int64)
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        leq[i] = np.all(E >= E[i], axis=1)
+    upper, _ = _interval_masks(monos)  # divisibility is the componentwise order
     labels = [render_monomial(m, gens.variables) for m in monos]
-    return LcmLattice(Semilattice.from_leq(labels, leq, config), tuple(monos))
+    return LcmLattice(Semilattice.from_leq(labels, upper, config), tuple(monos))
 
 
 # ---------------- weights ----------------
@@ -313,7 +326,7 @@ def weight_map(gens: GeneratorSet, config: Config = DEFAULT) -> Weighting:
         if m == top:
             weights.append(Monomial.one(gens.nvars))
             continue
-        above = [q for q in range(lat.n) if lat.leq[m, q] and q != m]
+        above = _bits(lat.upper_masks[m] & ~(1 << m))
         g = reduce(Monomial.gcd, (monos[q] for q in above))
         weights.append(g.div(monos[m]))
     bottom = gens.gcd_of_gens()
@@ -324,9 +337,8 @@ def reconstruct(w: Weighting, idx: int) -> Monomial:
     """Product of the weights of the bottom and of every element not above idx."""
     lat = w.lattice
     out = w.bottom
-    for q in range(lat.n):
-        if not lat.leq[idx, q]:
-            out = out.mul(w.weights[q])
+    for q in _bits(((1 << lat.n) - 1) & ~lat.upper_masks[idx]):
+        out = out.mul(w.weights[q])
     return out
 
 
@@ -547,7 +559,8 @@ def gens_to_json(gens: GeneratorSet) -> dict:
 
 def gens_from_json(doc) -> GeneratorSet:
     try:
-        return GeneratorSet(list(doc["variables"]), list(doc["generators"]))
+        gens = [json_ints(g, "a generator") for g in doc["generators"]]
+        return GeneratorSet(list(doc["variables"]), gens)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"bad ideal document: {exc}")
 
@@ -580,8 +593,8 @@ def weighting_from_json(doc, config: Config = DEFAULT) -> Weighting:
     try:
         lat = lattice_from_json(doc["lattice"], config)
         variables = [str(v) for v in doc["variables"]]
-        bottom = Monomial(doc["bottom"])
-        weights = tuple(Monomial(row) for row in doc["weights"])
+        bottom = Monomial(json_ints(doc["bottom"], "the bottom weight"))
+        weights = tuple(Monomial(json_ints(row, "a weight")) for row in doc["weights"])
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"bad weighting document: {exc}")
     if len(weights) != lat.n:

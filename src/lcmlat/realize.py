@@ -37,8 +37,9 @@ def validate_weighting(lat: Semilattice, w: Weighting):
                 f"meet-irreducible {lat.labels[m]} carries the unit weight"
             )
     for a in range(lat.n):
+        comparable = lat.upper_masks[a] | lat.lower_masks[a]
         for b in range(a + 1, lat.n):
-            if lat.leq[a, b] or lat.leq[b, a]:
+            if comparable >> b & 1:
                 continue
             if not m_coprime(w.weights[a], w.weights[b]):
                 return False, (
@@ -70,10 +71,9 @@ def _check_roundtrip(lat, w, gens, labeling, config):
     index = {m: i for i, m in enumerate(back.monomials)}
     if len(set(labeling)) != lat.n or set(index) != set(labeling):
         raise InternalError("realized monomials collide or miss the lcm-lattice")
-    for a in range(lat.n):
-        for b in range(lat.n):
-            if bool(lat.leq[a, b]) != labeling[a].divides(labeling[b]):
-                raise InternalError("divisibility of the realization differs from the order")
+    for a, ma in enumerate(labeling):
+        if sum(1 << b for b, mb in enumerate(labeling) if ma.divides(mb)) != lat.upper_masks[a]:
+            raise InternalError("divisibility of the realization differs from the order")
     if back.bottom != w.bottom or any(
         back.weights[index[labeling[m]]] != w.weights[m] for m in range(lat.n)
     ):

@@ -32,13 +32,13 @@ level from the highest down, lowest index first.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from math import comb
-from operator import eq, or_
+from operator import eq
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded
-from .monomials import QuotientPair, union_generators
+from .monomials import QuotientPair, _interval_masks, union_generators
 
 _FAIL_CACHE_CAP = 1 << 18
 _GRID_CAP = 4_000_000
@@ -109,24 +109,6 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     # a stable sort by degree: the cells come in lex order
     pts = sorted(zip(*coords), key=sum) if g else [()] * len(found)
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
-
-
-def _interval_masks(points):
-    """up[i], down[i]: bitmasks of the points above and below point i."""
-    n = len(points)
-    up = [(1 << n) - 1] * n
-    down = list(up)
-    bit = [1 << i for i in range(n)]
-    for coord in zip(*points):
-        at = [0] * (max(coord) + 1)  # the points with p[j] == v
-        for i, v in enumerate(coord):
-            at[v] |= bit[i]
-        le = list(accumulate(at, or_))
-        ge = list(accumulate(reversed(at), or_))[::-1]
-        for i, v in enumerate(coord):
-            up[i] &= ge[v]
-            down[i] &= le[v]
-    return up, down
 
 
 def _cover_search(target, full, up, down, level):

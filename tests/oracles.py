@@ -260,15 +260,61 @@ def family_classes(k):
 def family_to_lattice(fam):
     """The family ordered by inclusion, as a package Semilattice."""
     from lcmlat import Semilattice
-    import numpy as np
 
     elems = sorted(fam, key=lambda s: (len(s), sorted(s)))
-    n = len(elems)
-    leq = np.zeros((n, n), dtype=bool)
+    upper = [sum(1 << j for j, t in enumerate(elems) if s <= t) for s in elems]
+    return Semilattice.from_leq([str(sorted(s)) for s in elems], upper)
+
+
+# ---------------- orders by definition ----------------
+
+
+def divisibility_matrix(monos):
+    """leq[i][j]: monos[i] divides monos[j], coordinate by coordinate."""
+    return [[all(x <= y for x, y in zip(a, b)) for b in monos] for a in monos]
+
+
+def covers_by_definition(leq):
+    """The pairs a < b with no element strictly between them, row by row."""
+    n = len(leq)
+    return [
+        (a, b) for a in range(n) for b in range(n)
+        if a != b and leq[a][b]
+        and not any(c not in (a, b) and leq[a][c] and leq[c][b] for c in range(n))
+    ]
+
+
+def closure_by_search(n, pairs):
+    """leq[i][j]: j is reached from i along the pairs, by a depth-first search from each i."""
+    succ = [[] for _ in range(n)]
+    for lo, hi in pairs:
+        succ[lo].append(hi)
+    leq = []
     for i in range(n):
-        for j in range(n):
-            leq[i, j] = elems[i] <= elems[j]
-    return Semilattice.from_leq([str(sorted(s)) for s in elems], leq)
+        seen, stack = {i}, [i]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        leq.append([j in seen for j in range(n)])
+    return leq
+
+
+def joins_by_definition(leq):
+    """Join table as the unique least common upper bound of each pair, or None."""
+    n = len(leq)
+    table = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            ups = [u for u in range(n) if leq[a][u] and leq[b][u]]
+            least = [u for u in ups if all(leq[u][v] for v in ups)]
+            if len(least) != 1:
+                return None
+            row.append(least[0])
+        table.append(tuple(row))
+    return tuple(table)
 
 
 # ---------------- associated primes by grid colon scan ----------------

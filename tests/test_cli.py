@@ -199,6 +199,33 @@ def test_deform_malformed_shifts_exit_1(tmp_path, capsys, shifts):
     assert out == "" and "shift 0" in err and "Traceback" not in err
 
 
+# each document or option carries one number that is not an integer; {doc}
+# is the malformed document and {ideal} a well-formed ideal
+_MALFORMED_NUMBERS = {
+    "cover 1e400": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 1e400]]}',
+                    ["lattice", "{doc}"]),
+    "generator 1e400": ('{"variables": ["x"], "generators": [[1e400]]}', ["weights", "{doc}"]),
+    "exponent 1.5": ('{"variables": ["x", "y"], "generators": [[1.5, 0], [0, 1]]}',
+                     ["weights", "{doc}"]),
+    "antichain a": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
+                    ["equalize", "{doc}", "--antichain", "a"]),
+    "antichain 0,": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
+                     ["equalize", "{doc}", "--antichain", "0,"]),
+    "image ab": ('{"image": "ab"}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
+    "image 5": ('{"image": 5}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
+}
+
+
+@pytest.mark.parametrize("text, argv", _MALFORMED_NUMBERS.values(), ids=_MALFORMED_NUMBERS)
+def test_malformed_numbers_exit_1(tmp_path, capsys, text, argv):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    paths = {"{doc}": str(doc), "{ideal}": _write(tmp_path, "i.json", TWO_VARS)}
+    code, out, err = _run([paths.get(a, a) for a in argv], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 def test_generic_command(tmp_path, capsys):
     src = _write(tmp_path, "i.json", TWO_VARS)
     code, out, _ = _run(["generic", src], capsys)
@@ -290,6 +317,33 @@ def test_check_map_failure_exits_3_under_optimized_python(tmp_path):
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["pdim_ok"] is False
     assert proc.stderr.startswith("internal assertion failed:")
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from lcmlat.cli import main
+main(sys.argv[1:])
+"""
+
+
+def test_runs_without_numpy(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lcmlat
+
+    ideal = _write(tmp_path, "i.json", TRIANGLE)
+    env = dict(os.environ)
+    src = str(Path(lcmlat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["lattice", ideal], ["weights", ideal], ["sdepth", ideal],
+                 ["classify", "--atoms", "3"]):
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_exit_code_bad_input(tmp_path, capsys):

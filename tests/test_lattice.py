@@ -4,7 +4,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +26,16 @@ from lcmlat import (
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
+    lcm_semilattice,
     pseudo_inverse,
     structure_report,
+)
+
+from oracles import (
+    closure_by_search,
+    covers_by_definition,
+    divisibility_matrix,
+    joins_by_definition,
 )
 
 
@@ -52,25 +59,68 @@ def test_build_rejects_missing_joins():
 
 def test_join_table_checked():
     b2 = boolean_semilattice(2)
-    bad = b2.join.copy()
-    bad[0, 1] = 0  # {1} v {2} must be the top
+    bad = [list(row) for row in b2.join]
+    bad[0][1] = 0  # {1} v {2} must be the top
     with pytest.raises((NotASemilattice, InvalidInput)):
         Semilattice.from_join_table(list(b2.labels), bad)
 
 
 def test_from_leq_rejects_non_orders():
     with pytest.raises(InvalidInput):
-        Semilattice.from_leq(["a", "b"], [[0, 1], [0, 1]])  # a <= a missing
+        Semilattice.from_leq(["a", "b"], [0b10, 0b10])  # a <= a missing
     with pytest.raises(CyclicRelation):
-        Semilattice.from_leq(["a", "b"], [[1, 1], [1, 1]])
+        Semilattice.from_leq(["a", "b"], [0b11, 0b11])
 
 
+def test_from_leq_rejects_stray_bits():
+    with pytest.raises(InvalidInput):
+        Semilattice.from_leq(["a", "b"], [0b111, 0b110])  # bit 2 names no element
+    with pytest.raises(InvalidInput):
+        Semilattice.from_leq(["a", "b"], [0b11, 0b00])  # b <= b missing
 
-def test_from_leq_leaves_callers_matrix_writable():
-    leq = np.array([[True, True], [False, True]])
-    lat = Semilattice.from_leq(["a", "b"], leq)
-    leq[1, 0] = True  # the caller's array is still the caller's
-    assert not lat.leq[1, 0] and not lat.leq.flags.writeable
+
+def test_mask_order_matches_divisibility(rng):
+    from conftest import random_ideal
+
+    for _ in range(40):
+        lam = lcm_semilattice(random_ideal(rng))
+        lat, n = lam.lattice, lam.lattice.n
+        leq = divisibility_matrix(lam.monomials)
+        assert lat.leq.tolist() == leq
+        assert [[bool(m >> j & 1) for j in range(n)] for m in lat.upper_masks] == leq
+        assert list(lat.covers) == covers_by_definition(leq)
+        transposed = [[leq[j][i] for j in range(n)] for i in range(n)]
+        assert [[bool(m >> j & 1) for j in range(n)] for m in lat.lower_masks] == transposed
+
+
+def test_from_relations_matches_closure_by_search(rng):
+    built = refused = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        hidden = list(range(n))  # a linear extension, so the relation has no cycle
+        rng.shuffle(hidden)
+        top = rng.random() < 0.7  # most draws put the last element above all others
+        pairs = [(hidden[i], hidden[j]) for i in range(n) for j in range(i + 1, n)
+                 if (top and j == n - 1) or rng.random() < 0.3]
+        leq = closure_by_search(n, pairs)
+        joins = joins_by_definition(leq)
+        if joins is None:
+            with pytest.raises(NotASemilattice):
+                Semilattice.from_relations([str(i) for i in range(n)], pairs)
+            refused += 1
+            continue
+        lat = Semilattice.from_relations([str(i) for i in range(n)], pairs)
+        assert lat.leq.tolist() == leq and lat.join == joins
+        built += 1
+    assert built > 50 and refused > 50
+
+
+def test_order_view_is_read_only():
+    lat = Semilattice.from_leq(["a", "b"], [0b11, 0b10])
+    with pytest.raises(TypeError):
+        lat.leq[1, 0] = True
+    assert not lat.leq[1, 0] and lat.leq[0, 1]
+
 
 _OPTIMIZED_CHECKS = textwrap.dedent("""
     from lcmlat import (CyclicRelation, GeneratorSet, InternalError, InvalidInput,
@@ -80,15 +130,15 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
     if __debug__:
         raise SystemExit("asserts are still on")
     b2 = boolean_semilattice(2)
-    bad = b2.join.copy()
-    bad[0, 1] = 0
+    bad = [list(row) for row in b2.join]
+    bad[0][1] = 0
     try:
         Semilattice.from_join_table(list(b2.labels), bad)
         raise SystemExit("bad join table accepted")
     except (NotASemilattice, InvalidInput):
         pass
     try:
-        Semilattice.from_leq(["a", "b"], [[1, 1], [1, 1]])
+        Semilattice.from_leq(["a", "b"], [0b11, 0b11])
         raise SystemExit("cyclic order accepted")
     except CyclicRelation:
         pass
@@ -108,7 +158,7 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
     except InternalError:
         pass
     from lcmlat import JoinMap, factor_map, lattice
-    lat = Semilattice.from_leq(["a", "b"], [[1, 1], [0, 1]])
+    lat = Semilattice.from_leq(["a", "b"], [0b11, 0b10])
     lat.upper_masks = (0b11, 0b11)
     try:
         lat.top
@@ -157,7 +207,7 @@ def test_boolean_joins_are_unions():
         bk = boolean_semilattice(k)
         for a in range(bk.n):
             for b in range(bk.n):
-                assert bk.join[a, b] == ((a + 1) | (b + 1)) - 1
+                assert bk.join[a][b] == ((a + 1) | (b + 1)) - 1
 
 
 def _remapped_join(lat, a):
@@ -165,7 +215,7 @@ def _remapped_join(lat, a):
     keep = [x for x in range(lat.n) if x != a]
     new_index = {x: i for i, x in enumerate(keep)}
     new_index[a] = new_index[lat.upper_covers[a][0]]
-    return [[new_index[int(lat.join[x, y])] for y in keep] for x in keep]
+    return [[new_index[lat.join[x][y]] for y in keep] for x in keep]
 
 
 def test_collapse_joins_match_remapped_table():
@@ -174,7 +224,7 @@ def test_collapse_joins_match_remapped_table():
             if a in lat.atoms:
                 continue
             quot, _ = collapse(lat, a)
-            assert quot.join.tolist() == _remapped_join(lat, a)
+            assert [list(row) for row in quot.join] == _remapped_join(lat, a)
             if depth > 1:
                 walk(quot, depth - 1)
 
@@ -328,14 +378,15 @@ def test_free_cover_needs_atomistic():
 def _relabel(lat, perm):
     inv = {perm[i]: i for i in range(lat.n)}
     n = lat.n
-    leq = np.zeros((n, n), dtype=bool)
+    upper = [0] * n
     for i in range(n):
         for j in range(n):
-            leq[perm[i], perm[j]] = lat.leq[i, j]
+            if lat.leq[i, j]:
+                upper[perm[i]] |= 1 << perm[j]
     labels = [None] * n
     for i in range(n):
         labels[perm[i]] = lat.labels[i]
-    return Semilattice.from_leq(labels, leq)
+    return Semilattice.from_leq(labels, upper)
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,8 +429,8 @@ def test_json_roundtrip():
     doc = lattice_to_json(lat)
     back = lattice_from_json(doc)
     assert back.labels == lat.labels
-    assert np.array_equal(back.leq, lat.leq)
-    assert np.array_equal(back.join, lat.join)
+    assert back.leq.tolist() == lat.leq.tolist()
+    assert back.join == lat.join
 
 
 def test_dot_output_mentions_every_label():
