@@ -52,7 +52,6 @@ from .monomials import (
     Weighting,
     colon,
     deform,
-    deform_pair,
     gens_from_json,
     gens_to_json,
     ideal_pair,
@@ -89,9 +88,7 @@ from .realize import (
 from .resolution import (
     BettiTable,
     MapCheck,
-    pdim_ideal,
     pdim_pair_invariance,
-    pdim_quotient_ring,
     rank_exact,
     rank_mod_p,
     taylor_betti,
@@ -100,8 +97,6 @@ from .sdepth import (
     CharacteristicPoset,
     SdepthReport,
     characteristic_poset,
-    sdepth_of_ideal,
-    sdepth_of_quotient_ring,
     sdepth_solve,
     verify_decomposition,
 )

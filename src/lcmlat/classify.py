@@ -17,7 +17,7 @@ from operator import and_
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded, NotAtomistic
 from .lattice import Semilattice, _canon_family, boolean_semilattice, family_semilattice
-from .monomials import GeneratorSet, Monomial, Weighting
+from .monomials import GeneratorSet, Monomial, Weighting, ideal_pair, quotient_ring_pair
 from .realize import canonical_realization, realize
 from .resolution import taylor_betti
 from .sdepth import sdepth_solve
@@ -73,8 +73,6 @@ class LatticeInvariants:
 
 
 def _invariants_of_gens(gens: GeneratorSet, config: Config):
-    from .monomials import ideal_pair, quotient_ring_pair
-
     slim = gens.minimalize()
     if len(slim.gens) == 1 and slim.gens[0].degree() == 0:
         # the one-element lattice realizes as the unit ideal, whose lattice
@@ -121,7 +119,7 @@ def lattice_invariants(lat: Semilattice, config: Config = DEFAULT,
     inv = _invariants_of_gens(real.gens, config)
     if recheck:
         rng = rng or random.Random(0)
-        second = realize(lat, random_weighting(lat, rng), config)
+        second = realize(random_weighting(lat, rng), config)
         other = _invariants_of_gens(second.gens, config)
         if replace(other, nvars=inv.nvars) != inv:  # realizations differ in size only
             raise InternalError("invariants must not depend on the realization")

@@ -20,6 +20,7 @@ from . import resolution as _resolution
 from . import sdepth as _sdepth
 from .realize import (
     canonical_realization as _canonical_realization,
+    canonical_weighting as _canonical_weighting,
     equalize_degrees as _equalize_degrees,
     realize as _do_realize,
     single_degree_pair as _single_degree_pair,
@@ -43,6 +44,14 @@ def _load(path):
         raise InvalidInput(f"{path} is not JSON: {exc}")
 
 
+def _create(path):
+    """A file opened for writing; a path that cannot be written is bad input."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}")
+
+
 def _kind(doc):
     if not isinstance(doc, dict):
         raise InvalidInput("top-level JSON object expected")
@@ -62,7 +71,7 @@ def _kind(doc):
 def _emit(args, doc):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _create(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -129,7 +138,7 @@ def _cmd_lattice(args):
     cfg = _config(args)
     lat = _lattice_of(_load(args.input), cfg)
     if args.dot:
-        with open(args.dot, "w") as fh:
+        with _create(args.dot) as fh:
             fh.write(_lattice.lattice_to_dot(lat))
     _emit(args, _lattice.lattice_to_json(lat))
 
@@ -144,7 +153,7 @@ def _cmd_weights(args):
 def _cmd_realize(args):
     cfg = _config(args)
     w = _mono.weighting_from_json(_load(args.input), cfg)
-    real = _do_realize(w.lattice, w, cfg)
+    real = _do_realize(w, cfg)
     gens = real.gens.minimalize() if args.minimal else real.gens
     _emit(args, _mono.gens_to_json(gens))
 
@@ -168,7 +177,7 @@ def _cmd_equalize(args):
             ids = [int(t) for t in args.antichain.split(",")]
         except ValueError:
             raise InvalidInput(f"--antichain wants comma-separated indices: {args.antichain!r}")
-        w = _equalize_degrees(lat, ids, config=cfg)
+        w = _equalize_degrees(_canonical_weighting(lat), ids)
         _emit(args, _mono.weighting_to_json(w))
         return
     pair = _pair_from(doc, "ideal")
@@ -227,11 +236,8 @@ def _cmd_restrict(args):
 def _cmd_inflate(args):
     cfg = _config(args)
     obj = _obj_from(_load(args.input))
-    was_ideal = isinstance(obj, _mono.GeneratorSet)
-    pair = _mono.ideal_pair(obj) if was_ideal else obj
-    m = _mono.parse_monomial(args.element, pair.variables)
-    out = _mono.inflate(pair, m, cfg)
-    _emit(args, _mono.gens_to_json(out.i) if was_ideal else _mono.pair_to_json(out))
+    m = _mono.parse_monomial(args.element, obj.variables)
+    _emit(args, _obj_to_json(_mono.inflate(obj, m, cfg)))
 
 
 def _cmd_deform(args):
@@ -239,10 +245,7 @@ def _cmd_deform(args):
     shifts = _load(args.shifts)
     if not isinstance(shifts, list):
         raise InvalidInput("shift document must be a list of exponent shifts")
-    if isinstance(obj, _mono.QuotientPair):
-        _emit(args, _mono.pair_to_json(_mono.deform_pair(obj, shifts)))
-    else:
-        _emit(args, _mono.gens_to_json(_mono.deform(obj, shifts)))
+    _emit(args, _obj_to_json(_mono.deform(obj, shifts)))
 
 
 def _cmd_generic(args):
@@ -263,7 +266,7 @@ def _cmd_isomorphic(args):
 
 def _cmd_classify(args):
     cfg = _config(args)
-    out = open(args.out, "w") if args.out else sys.stdout
+    out = _create(args.out) if args.out else sys.stdout
     try:
         total = 0
         bad = []

@@ -15,6 +15,7 @@ surjection into such collapses.
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+from numbers import Integral
 from typing import Optional
 
 from .config import DEFAULT, Config
@@ -574,10 +575,13 @@ def lattice_to_json(lat: Semilattice) -> dict:
 
 
 def json_ints(values, what):
-    """A JSON array of integers as a list; InvalidInput for floats, strings or other shapes."""
-    if not isinstance(values, (list, tuple)) or not all(isinstance(v, int) for v in values):
+    """A JSON array of integers as a list of ints; InvalidInput for booleans,
+    floats, strings or other shapes.  Numpy integers count as integers."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, Integral) and not isinstance(v, bool) for v in values
+    ):
         raise InvalidInput(f"{what} must be a list of integers, got {values!r}")
-    return list(values)
+    return [int(v) for v in values]
 
 
 def lattice_from_json(doc, config: Config = DEFAULT) -> Semilattice:

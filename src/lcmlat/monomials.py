@@ -29,7 +29,7 @@ from .errors import (
     LimitExceeded,
     NotSquarefree,
 )
-from .lattice import Semilattice, _bits, json_ints
+from .lattice import Semilattice, _bits, json_ints, lattice_from_json, lattice_to_json
 
 
 class Monomial(tuple):
@@ -444,27 +444,29 @@ def _fresh_name(variables, base="Y"):
     return f"{base}{t}"
 
 
-def inflate(pair: QuotientPair, m: Monomial, config: Config = DEFAULT) -> QuotientPair:
+def inflate(obj, m: Monomial, config: Config = DEFAULT):
     """Multiply every generator not dividing m by one fresh variable.
 
     Requires squarefree generators; m must be an element of the joint
     lcm-semilattice.  Stanley projective dimension is preserved.
     """
-    union = union_generators(pair)
+    if not isinstance(obj, QuotientPair):
+        return inflate(ideal_pair(obj), m, config).i
+    union = union_generators(obj)
     if not union.is_squarefree_raw():
         raise NotSquarefree("inflate is defined for squarefree generators")
     lcmlat = lcm_semilattice(union, config)
     if lcmlat.index_of(m) is None:
         raise InvalidInput("inflate target is not an lcm of generators")
-    fresh = _fresh_name(pair.variables)
-    names = list(pair.variables) + [fresh]
+    fresh = _fresh_name(obj.variables)
+    names = list(obj.variables) + [fresh]
 
     def lift(g: Monomial) -> Monomial:
         return Monomial(g + ((0,) if g.divides(m) else (1,)))
 
     return QuotientPair(
-        GeneratorSet(names, [lift(g) for g in pair.i.gens]),
-        GeneratorSet(names, [lift(g) for g in pair.j.gens]),
+        GeneratorSet(names, [lift(g) for g in obj.i.gens]),
+        GeneratorSet(names, [lift(g) for g in obj.j.gens]),
     )
 
 
@@ -475,8 +477,8 @@ def _checked_shifts(gens: GeneratorSet, shifts):
     eps = []
     for i, row in enumerate(shifts):
         try:
-            row = tuple(int(e) for e in row)
-        except (TypeError, ValueError):
+            row = json_ints(list(row), f"shift {i}")
+        except TypeError:
             raise InvalidInput(f"shift {i} is not a list of integers") from None
         if len(row) != gens.nvars:
             raise InvalidInput(f"shift {i} has the wrong arity")
@@ -508,17 +510,16 @@ def validate_deformation(gens: GeneratorSet, shifts):
     return True, None
 
 
-def deform(gens: GeneratorSet, shifts) -> GeneratorSet:
-    eps = _checked_shifts(gens, shifts)
-    return GeneratorSet(gens.variables, [g.mul(row) for g, row in zip(gens.gens, eps)])
-
-
-def deform_pair(pair: QuotientPair, shifts) -> QuotientPair:
-    """Deform I and J through one joint shift of their combined generators."""
-    union = union_generators(pair)
+def deform(obj, shifts):
+    """Add one shift row to each generator; a pair I/J takes one joint shift
+    of its combined generators (union_generators order) and must keep J inside I."""
+    if not isinstance(obj, QuotientPair):
+        eps = _checked_shifts(obj, shifts)
+        return GeneratorSet(obj.variables, [g.mul(row) for g, row in zip(obj.gens, eps)])
+    union = union_generators(obj)
     moved = dict(zip(union.gens, deform(union, shifts).gens))
-    newi = GeneratorSet(pair.variables, [moved[g] for g in pair.i.gens])
-    newj = GeneratorSet(pair.variables, [moved[g] for g in pair.j.gens])
+    newi = GeneratorSet(obj.variables, [moved[g] for g in obj.i.gens])
+    newj = GeneratorSet(obj.variables, [moved[g] for g in obj.j.gens])
     for g in newj.gens:
         if not newi.contains(g):
             raise InvalidDeformation(
@@ -577,8 +578,6 @@ def pair_from_json(doc) -> QuotientPair:
 
 
 def weighting_to_json(w: Weighting) -> dict:
-    from .lattice import lattice_to_json
-
     return {
         "variables": list(w.variables),
         "lattice": lattice_to_json(w.lattice),
@@ -588,8 +587,6 @@ def weighting_to_json(w: Weighting) -> dict:
 
 
 def weighting_from_json(doc, config: Config = DEFAULT) -> Weighting:
-    from .lattice import lattice_from_json
-
     try:
         lat = lattice_from_json(doc["lattice"], config)
         variables = [str(v) for v in doc["variables"]]

@@ -16,17 +16,18 @@ from .lattice import Semilattice
 from .monomials import (
     GeneratorSet,
     Monomial,
+    QuotientPair,
     Weighting,
     m_coprime,
     reconstruct,
+    union_generators,
     weight_map,
 )
 
 
-def validate_weighting(lat: Semilattice, w: Weighting):
-    """(ok, witness) for the two realizability conditions."""
-    if w.lattice.n != lat.n:
-        raise InvalidInput("weighting does not match the lattice")
+def validate_weighting(w: Weighting):
+    """(ok, witness) for the two realizability conditions on w's lattice."""
+    lat = w.lattice
     if len(w.weights) != lat.n:
         raise InvalidInput("one weight per element is required")
     if not w.weights[lat.top].is_unit():
@@ -55,18 +56,19 @@ class Realization:
     labeling: tuple  # element index -> its monomial
 
 
-def realize(lat: Semilattice, w: Weighting, config: Config = DEFAULT) -> Realization:
+def realize(w: Weighting, config: Config = DEFAULT) -> Realization:
     """Invert a weighting into monomials and check the round trip."""
-    ok, witness = validate_weighting(lat, w)
+    ok, witness = validate_weighting(w)
     if not ok:
         raise InvalidWeighting(witness)
-    labeling = [reconstruct(w, m) for m in range(lat.n)]
+    labeling = [reconstruct(w, m) for m in range(w.lattice.n)]
     gens = GeneratorSet(w.variables, labeling)
-    _check_roundtrip(lat, w, gens, labeling, config)
+    _check_roundtrip(w, gens, labeling, config)
     return Realization(gens, tuple(labeling))
 
 
-def _check_roundtrip(lat, w, gens, labeling, config):
+def _check_roundtrip(w, gens, labeling, config):
+    lat = w.lattice
     back = weight_map(gens, config)
     index = {m: i for i, m in enumerate(back.monomials)}
     if len(set(labeling)) != lat.n or set(index) != set(labeling):
@@ -96,85 +98,66 @@ def canonical_weighting(lat: Semilattice) -> Weighting:
 
 def canonical_realization(lat: Semilattice, config: Config = DEFAULT) -> Realization:
     """Squarefree realization over one variable per meet-irreducible."""
-    real = realize(lat, canonical_weighting(lat), config)
+    real = realize(canonical_weighting(lat), config)
     if not all(m.is_squarefree() for m in real.labeling):
         raise InternalError("the canonical realization is not squarefree")
     return real
 
 
 def _check_antichain(lat, elements):
+    for a in elements:
+        if not 0 <= a < lat.n:
+            raise InvalidInput(f"antichain element {a} outside 0..{lat.n - 1}")
+    if len(set(elements)) != len(elements):
+        raise InvalidInput("repeated antichain element")
     for i, a in enumerate(elements):
         for b in elements[i + 1:]:
             if lat.leq[a, b] or lat.leq[b, a]:
                 raise NotAntichain(a, b)
 
 
-def equalize_degrees(lat: Semilattice, antichain, start: Weighting = None,
-                     config: Config = DEFAULT) -> Weighting:
-    """Stretch weights with fresh variables until the antichain realizes in one degree.
+def equalize_degrees(w: Weighting, antichain) -> Weighting:
+    """Stretch w with fresh variables until the antichain realizes in one degree.
 
-    Each round multiplies the current maximum-degree elements of the antichain
-    by one fresh variable each; those gain r-1 while the others gain r, so the
-    degree spread drops by exactly one per round.
+    Each round multiplies the weights of the current maximum-degree elements
+    of the antichain by one fresh variable each.  An element gains one degree
+    per top that is not above it, so with r tops the tops gain r-1 and the
+    others r: the degree spread drops by exactly one per round.
     """
+    lat = w.lattice
     antichain = [int(a) for a in antichain]
     if not antichain:
         raise InvalidInput("empty antichain")
-    if len(set(antichain)) != len(antichain):
-        raise InvalidInput("repeated antichain element")
     _check_antichain(lat, antichain)
-    w = start if start is not None else canonical_weighting(lat)
-    ok, witness = validate_weighting(lat, w)
+    ok, witness = validate_weighting(w)
     if not ok:
         raise InvalidWeighting(witness)
 
-    variables = list(w.variables)
-    weights = [list(m) for m in w.weights]
-    bottom = list(w.bottom)
-
-    def degree_of(m):
-        d = sum(bottom)
-        for q in range(lat.n):
-            if not lat.leq[m, q]:
-                d += sum(weights[q])
-        return d
-
-    rounds = 0
-    spread0 = None
-    while True:
-        degs = [degree_of(a) for a in antichain]
-        spread = max(degs) - min(degs)
-        if spread0 is None:
-            spread0 = spread
-        if spread == 0:
-            break
-        rounds += 1
-        if rounds > spread0:
-            raise InternalError("the degree spread did not shrink every round")
+    degs = [reconstruct(w, a).degree() for a in antichain]
+    rounds = []  # per round, its tops: one fresh variable each
+    while max(degs) != min(degs):
         tops = [a for a, d in zip(antichain, degs) if d == max(degs)]
-        for t, a in enumerate(tops):
-            variables.append(f"d{rounds}_{t}")
-            for row in weights:
-                row.append(0)
-            bottom.append(0)
-            weights[a][-1] += 1
+        rounds.append(tops)
+        degs = [d + len(tops) - (a in tops) for a, d in zip(antichain, degs)]
+    fresh = [(f"d{r}_{t}", a) for r, tops in enumerate(rounds, 1) for t, a in enumerate(tops)]
+    # still realizable: a fresh variable sits in one antichain weight only
 
     out = Weighting(
         lat,
-        tuple(variables),
-        Monomial(bottom),
-        tuple(Monomial(row) for row in weights),
+        tuple(w.variables) + tuple(name for name, _ in fresh),
+        Monomial(w.bottom + (0,) * len(fresh)),
+        tuple(
+            Monomial(m + tuple(int(a == x) for _, a in fresh))
+            for x, m in enumerate(w.weights)
+        ),
     )
-    ok, witness = validate_weighting(lat, out)
-    if not ok:
-        raise InternalError(f"equalized weighting is not realizable: {witness}")
+    if len({reconstruct(out, a).degree() for a in antichain}) != 1:
+        raise InternalError("the equalized antichain spans several degrees")
     return out
 
 
-def single_degree_pair(pair, config: Config = DEFAULT):
+def single_degree_pair(pair: QuotientPair, config: Config = DEFAULT) -> QuotientPair:
     """Replace I/J by a Stanley-equivalent quotient whose I is generated in one degree."""
-    from .monomials import QuotientPair, union_generators
-
     slim = pair.minimalize()
     union = union_generators(slim)
     base = weight_map(union, config)
@@ -182,8 +165,7 @@ def single_degree_pair(pair, config: Config = DEFAULT):
     targets = [index.get(g) for g in slim.i.gens]
     if any(t is None for t in targets):
         raise InvalidInput("minimal generators must appear in the joint lattice")
-    w = equalize_degrees(base.lattice, targets, start=base, config=config)
-    real = realize(base.lattice, w, config)
+    real = realize(equalize_degrees(base, targets), config)
     new_i = GeneratorSet(real.gens.variables, [real.labeling[t] for t in targets])
     new_j = GeneratorSet(
         real.gens.variables,

@@ -15,7 +15,9 @@ from math import gcd
 
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, LimitExceeded, NotSurjective
+from .lattice import JoinMap
 from .monomials import QuotientPair, lcm_semilattice, union_generators
+from .sdepth import sdepth_solve
 
 
 def _rank_by(rows, ncols, clear):
@@ -144,18 +146,6 @@ def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
     return BettiTable(tuple(betti), pdim, nvars - pdim, nvars, config.field_label())
 
 
-def pdim_ideal(gens, config: Config = DEFAULT) -> BettiTable:
-    from .monomials import ideal_pair
-
-    return taylor_betti(ideal_pair(gens.minimalize()), config)
-
-
-def pdim_quotient_ring(gens, config: Config = DEFAULT) -> BettiTable:
-    from .monomials import quotient_ring_pair
-
-    return taylor_betti(quotient_ring_pair(gens.minimalize()), config)
-
-
 @dataclass(frozen=True)
 class MapCheck:
     """Both sides of a lattice surjection compared; equality when bijective."""
@@ -182,8 +172,6 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     Stanley projective dimension on request) must drop weakly along any such
     map and must agree when it is bijective.
     """
-    from .lattice import JoinMap
-
     pair_a, pair_b = pair_a.minimalize(), pair_b.minimalize()
     src = lcm_semilattice(union_generators(pair_a), config)
     tgt = lcm_semilattice(union_generators(pair_b), config)
@@ -201,8 +189,6 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     pdim_ok = ba.pdim == bb.pdim if bij else ba.pdim >= bb.pdim
     if not with_sdepth:
         return MapCheck(bij, ba.pdim, bb.pdim, pdim_ok)
-    from .sdepth import sdepth_solve
-
     sa = sdepth_solve(pair_a, config)
     sb = sdepth_solve(pair_b, config)
     spdim_ok = sa.spdim == sb.spdim if bij else sa.spdim >= sb.spdim

@@ -284,14 +284,3 @@ def verify_decomposition(poset: CharacteristicPoset, intervals):
         return False, None
     return True, value
 
-
-def sdepth_of_ideal(gens, config: Config = DEFAULT) -> SdepthReport:
-    from .monomials import ideal_pair
-
-    return sdepth_solve(ideal_pair(gens.minimalize()), config)
-
-
-def sdepth_of_quotient_ring(gens, config: Config = DEFAULT) -> SdepthReport:
-    from .monomials import quotient_ring_pair
-
-    return sdepth_solve(quotient_ring_pair(gens.minimalize()), config)

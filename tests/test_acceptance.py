@@ -32,8 +32,6 @@ from lcmlat import (
     reconstruct,
     render_monomial,
     restrict_variable,
-    sdepth_of_ideal,
-    sdepth_of_quotient_ring,
     sdepth_solve,
     taylor_betti,
     union_generators,
@@ -77,10 +75,10 @@ def test_criterion_01_variable_ladder():
     t0 = time.perf_counter()
     for k in range(1, 6):
         gens = _variables_ideal(k)
-        ri = sdepth_of_ideal(gens)
+        ri = sdepth_solve(ideal_pair(gens))
         assert ri.sdepth == k - k // 2, f"sdepth of the {k}-variable ideal"
         assert ri.spdim == k // 2
-        rq = sdepth_of_quotient_ring(gens)
+        rq = sdepth_solve(quotient_ring_pair(gens))
         assert rq.sdepth == 0, f"sdepth of the {k}-variable quotient"
         assert rq.spdim == k
     _finish(1, "variable ladder k=1..5", t0, 10)
@@ -128,7 +126,7 @@ def test_criterion_02_golden_example():
         }
         assert got == frozen
 
-    s1, s2 = sdepth_of_ideal(one), sdepth_of_ideal(two)
+    s1, s2 = sdepth_solve(ideal_pair(one)), sdepth_solve(ideal_pair(two))
     assert s1.sdepth == s2.sdepth == GOLD_SDEPTH
     p1 = taylor_betti(ideal_pair(one))
     p2 = taylor_betti(ideal_pair(two))
@@ -145,7 +143,7 @@ def test_criterion_03_products_but_one():
         gens = _all_products_but_one(k)
         table = taylor_betti(quotient_ring_pair(gens))
         assert table.pdim == 2, f"pdim at k={k}"
-        rep = sdepth_of_quotient_ring(gens)
+        rep = sdepth_solve(quotient_ring_pair(gens))
         assert rep.spdim == 2, f"spdim at k={k}"
     _finish(3, "products-but-one pdim=spdim=2", t0, 30)
 
@@ -215,7 +213,7 @@ def test_criterion_06_realizability_roundtrips():
     for _ in range(200):
         lat = _random_atomistic(rng)
         w = random_weighting(lat, rng)
-        real = realize(lat, w)
+        real = realize(w)
         lam = lcm_semilattice(real.gens)
         assert is_isomorphic(lam.lattice, lat)
         wm = weight_map(real.gens)
@@ -278,7 +276,7 @@ def test_criterion_07_monotone_maps():
 
 
 def _spdim_i(gens):
-    return sdepth_of_ideal(gens).spdim
+    return sdepth_solve(ideal_pair(gens)).spdim
 
 
 def _spdim_pair(pair):
@@ -326,7 +324,7 @@ def test_criterion_08_transform_inequalities():
     for _ in range(200):  # valid deformation: sdepth never rises under it
         gens = random_ideal(rng, max_vars=3, max_gens=4, max_exp=3).minimalize()
         moved = deform(gens, _random_shifts(rng, gens))
-        assert sdepth_of_ideal(gens).sdepth >= sdepth_of_ideal(moved).sdepth
+        assert sdepth_solve(ideal_pair(gens)).sdepth >= sdepth_solve(ideal_pair(moved)).sdepth
 
     relevant = 0
     while relevant < 200:  # killing a variable of a squarefree ideal: weak drop
@@ -381,6 +379,6 @@ def test_criterion_10_associated_prime_bounds():
         p = max_ass_height(gens)
         assert p >= 1
         assert taylor_betti(quotient_ring_pair(gens)).pdim >= p
-        assert sdepth_of_quotient_ring(gens).spdim >= p
-        assert sdepth_of_ideal(gens).spdim >= p // 2
+        assert sdepth_solve(quotient_ring_pair(gens)).spdim >= p
+        assert sdepth_solve(ideal_pair(gens)).spdim >= p // 2
     _finish(10, "100 associated-prime bounds", t0, 600)

@@ -94,7 +94,7 @@ def test_random_weighting_is_valid(rng):
     for k in (2, 3, 4):
         for _, lat in enumerate_atomistic(k):
             w = random_weighting(lat, rng)
-            ok, witness = validate_weighting(lat, w)
+            ok, witness = validate_weighting(w)
             assert ok, witness
 
 

@@ -79,6 +79,50 @@ def test_equalize_pair_output(tmp_path, capsys):
     assert len(degs) == 1
 
 
+# equalize stdout pinned byte for byte: fresh variables d{round}_{t}, one
+# column per top of a round in round order, zeros padding the bottom weight
+_EQUALIZE_GOLDEN = {
+    # degrees 2, 2, 5, 6 need four rounds; rounds 2 to 4 have two tops
+    "ideal": (
+        {"variables": ["x", "y", "z", "w", "v"],
+         "generators": [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 2, 2, 1], [0, 0, 1, 4, 1]]},
+        [],
+        {"I": {"generators": [[0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1],
+                              [1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1],
+                              [0, 0, 2, 2, 1, 1, 0, 1, 0, 1, 0, 1],
+                              [0, 0, 1, 4, 1, 0, 1, 0, 1, 0, 1, 0]],
+               "variables": ["x", "y", "z", "w", "v", "d1_0", "d2_0", "d2_1",
+                             "d3_0", "d3_1", "d4_0", "d4_1"]},
+         "J": {"generators": [],
+               "variables": ["x", "y", "z", "w", "v", "d1_0", "d2_0", "d2_1",
+                             "d3_0", "d3_1", "d4_0", "d4_1"]}},
+    ),
+    # canonical degrees 5, 4, 3 on the antichain {1}, {2}, {3}
+    "lattice": (
+        {"elements": ["{1}", "{2}", "{3}", "{4}", "{3,4}", "{2,3,4}", "{1,2,3,4}"],
+         "covers": [[0, 6], [1, 5], [2, 4], [3, 4], [4, 5], [5, 6]]},
+        ["--antichain", "0,1,2"],
+        {"bottom": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+         "lattice": {"covers": [[0, 6], [1, 5], [2, 4], [3, 4], [4, 5], [5, 6]],
+                     "elements": ["{1}", "{2}", "{3}", "{4}", "{3,4}", "{2,3,4}",
+                                  "{1,2,3,4}"]},
+         "variables": ["w0", "w1", "w2", "w3", "w4", "w5", "d1_0", "d2_0", "d2_1"],
+         "weights": [[1, 0, 0, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 0, 0, 0, 0, 1],
+                     [0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0],
+                     [0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0],
+                     [0, 0, 0, 0, 0, 0, 0, 0, 0]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, extra, want", _EQUALIZE_GOLDEN.values(), ids=_EQUALIZE_GOLDEN)
+def test_equalize_golden_stdout(tmp_path, capsys, doc, extra, want):
+    src = _write(tmp_path, "doc.json", doc)
+    code, out, err = _run(["equalize", src, *extra], capsys)
+    assert code == 0, err
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_sdepth_both_modules(tmp_path, capsys):
     src = _write(tmp_path, "i.json", TWO_VARS)
     code, out, _ = _run(["sdepth", src], capsys)
@@ -190,7 +234,9 @@ def test_deform_command(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("shifts", [[["a", 0], [0, 0]], [5, [0, 0]]])
+@pytest.mark.parametrize("shifts", [
+    [["a", 0], [0, 0]], [5, [0, 0]], [[1e400, 0], [0, 0]], [[1.5, 0], [0, 0]], [["3", 0], [0, 0]],
+])
 def test_deform_malformed_shifts_exit_1(tmp_path, capsys, shifts):
     src = _write(tmp_path, "i.json", TWO_VARS)
     bad = _write(tmp_path, "bad.json", shifts)
@@ -199,18 +245,27 @@ def test_deform_malformed_shifts_exit_1(tmp_path, capsys, shifts):
     assert out == "" and "shift 0" in err and "Traceback" not in err
 
 
-# each document or option carries one number that is not an integer; {doc}
-# is the malformed document and {ideal} a well-formed ideal
+# each document or option carries one number that is not an integer, or an
+# index outside the lattice; {doc} is the malformed document and {ideal} a
+# well-formed ideal
 _MALFORMED_NUMBERS = {
     "cover 1e400": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 1e400]]}',
                     ["lattice", "{doc}"]),
     "generator 1e400": ('{"variables": ["x"], "generators": [[1e400]]}', ["weights", "{doc}"]),
     "exponent 1.5": ('{"variables": ["x", "y"], "generators": [[1.5, 0], [0, 1]]}',
                      ["weights", "{doc}"]),
+    "cover true": ('{"elements": ["a", "b", "c"], "covers": [[true, 2], [0, 2]]}',
+                   ["lattice", "{doc}"]),
+    "generator true": ('{"variables": ["x", "y"], "generators": [[true, 0], [0, 1]]}',
+                       ["weights", "{doc}"]),
     "antichain a": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
                     ["equalize", "{doc}", "--antichain", "a"]),
     "antichain 0,": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
                      ["equalize", "{doc}", "--antichain", "0,"]),
+    "antichain 0,99": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
+                       ["equalize", "{doc}", "--antichain", "0,99"]),
+    "antichain -1,0": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
+                       ["equalize", "{doc}", "--antichain=-1,0"]),
     "image ab": ('{"image": "ab"}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
     "image 5": ('{"image": 5}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
 }
@@ -398,6 +453,19 @@ def test_out_flag_and_determinism(tmp_path, capsys):
         code, out, _ = _run(["sdepth", src, "--out", str(f)], capsys)
         assert code == 0 and out == ""
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "{ideal}", "--out", "{missing}"],
+    ["lattice", "{ideal}", "--dot", "{missing}"],
+    ["classify", "--atoms", "2", "--out", "{missing}"],
+])
+def test_unwritable_output_exits_1(tmp_path, capsys, argv):
+    paths = {"{ideal}": _write(tmp_path, "i.json", TWO_VARS),
+             "{missing}": str(tmp_path / "no-such-dir" / "out.txt")}
+    code, out, err = _run([paths.get(a, a) for a in argv], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: cannot write")
 
 
 def test_console_script_installed():

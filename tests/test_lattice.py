@@ -125,7 +125,7 @@ def test_order_view_is_read_only():
 _OPTIMIZED_CHECKS = textwrap.dedent("""
     from lcmlat import (CyclicRelation, GeneratorSet, InternalError, InvalidInput,
                         Monomial, NotASemilattice, Semilattice, boolean_semilattice,
-                        sdepth_of_ideal)
+                        ideal_pair, sdepth_solve)
     from lcmlat import sdepth
     if __debug__:
         raise SystemExit("asserts are still on")
@@ -144,12 +144,12 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         pass
     sdepth._cover_search = lambda *args: [(0, 0)]
     try:
-        sdepth_of_ideal(GeneratorSet(
-            ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))]))
+        sdepth_solve(ideal_pair(GeneratorSet(
+            ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))])))
         raise SystemExit("unverified sdepth witness accepted")
     except InternalError:
         pass
-    from lcmlat import ideal_pair, resolution, taylor_betti
+    from lcmlat import resolution, taylor_betti
     resolution._rank = lambda rows, ncols, config: ncols + 1
     try:
         taylor_betti(ideal_pair(GeneratorSet(
@@ -181,7 +181,7 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
     import importlib
     from lcmlat import canonical_realization
     realize = importlib.import_module("lcmlat.realize")
-    realize.realize = lambda lat, w, config: realize.Realization(
+    realize.realize = lambda w, config: realize.Realization(
         GeneratorSet(("x",), [Monomial((2,))]), (Monomial((2,)),))
     try:
         canonical_realization(boolean_semilattice(1))

@@ -14,7 +14,6 @@ from lcmlat import (
     canonical_form,
     colon,
     deform,
-    deform_pair,
     gens_from_json,
     gens_to_json,
     ideal_pair,
@@ -370,6 +369,9 @@ def test_inflate_examples():
     m = parse_monomial("x", ("x", "y"))
     out = inflate(pair, m)
     assert sorted(out.i.render()) == ["x", "y*Y"]
+    # an ideal goes in and comes out as an ideal, the same as I of the pair
+    ideal = inflate(g1, m)
+    assert isinstance(ideal, GeneratorSet) and gens_to_json(ideal) == gens_to_json(out.i)
     # weight degree at the inflated element goes up by one, others unchanged
     lam0 = lcm_semilattice(g1)
     w0 = weight_map(g1)
@@ -420,6 +422,11 @@ def test_deform_examples():
         deform(g, [(0, 1), (0, 0)])
     ident = deform(g, [(0, 0), (0, 0)])
     assert ident.same_ideal(g)
+    # numpy integers are integers; booleans, floats and strings are not
+    assert deform(g, np.array([[1, 0], [0, 0]])).render() == out.render()
+    for row in ([True, 0], [1.0, 0], ["1", 0]):
+        with pytest.raises(InvalidInput):
+            deform(g, [row, (0, 0)])
 
 
 def test_deform_strict_clause():
@@ -474,9 +481,9 @@ def test_deform_pair_containment_recheck():
     ok, _ = validate_deformation(union_generators(pair), [(0, 5), (0, 0)])
     assert ok
     with pytest.raises(InvalidDeformation):
-        deform_pair(pair, [(0, 5), (0, 0)])
+        deform(pair, [(0, 5), (0, 0)])
     # a joint shift that respects containment goes through
-    out = deform_pair(pair, [(1, 0), (1, 0)])
+    out = deform(pair, [(1, 0), (1, 0)])
     assert sorted(out.i.render()) == ["x^2*y"]
     assert sorted(out.j.render()) == ["x^3*y"]
 

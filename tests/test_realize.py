@@ -4,6 +4,7 @@ import pytest
 
 from lcmlat import (
     GeneratorSet,
+    InvalidInput,
     InvalidWeighting,
     Monomial,
     NotAntichain,
@@ -30,26 +31,26 @@ from lcmlat import (
 def test_validate_weighting_conditions():
     b2 = boolean_semilattice(2)
     good = canonical_weighting(b2)
-    ok, _ = validate_weighting(b2, good)
+    ok, _ = validate_weighting(good)
     assert ok
 
     # (1a): incomparable elements with non-coprime weights
     x = Monomial((1,))
     clash = Weighting(b2, ("x",), Monomial.one(1), (x, x, Monomial.one(1)))
-    ok, witness = validate_weighting(b2, clash)
+    ok, witness = validate_weighting(clash)
     assert not ok and "coprime" in witness
 
     # (1b): unit weight at a meet-irreducible
     unit = Weighting(
         b2, ("x",), Monomial.one(1), (Monomial.one(1), x, Monomial.one(1))
     )
-    ok, witness = validate_weighting(b2, unit)
+    ok, witness = validate_weighting(unit)
     assert not ok
 
     # top weight must be the unit
     bad_top = Weighting(b2, ("x", "y"), Monomial.one(2),
                         (Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 1))))
-    ok, witness = validate_weighting(b2, bad_top)
+    ok, witness = validate_weighting(bad_top)
     assert not ok
 
 
@@ -69,14 +70,14 @@ def test_realize_rejects_invalid():
     x = Monomial((1,))
     clash = Weighting(b2, ("x",), Monomial.one(1), (x, x, Monomial.one(1)))
     with pytest.raises(InvalidWeighting):
-        realize(b2, clash)
+        realize(clash)
 
 
 def test_realize_chain_with_heavy_bottom():
     # chain a < b, weight x at a, bottom x: gives (x^2, x) family, ideal (x)
     chain = Semilattice.from_relations(["a", "b"], [(0, 1)])
     w = Weighting(chain, ("x",), Monomial((1,)), (Monomial((1,)), Monomial.one(1)))
-    real = realize(chain, w)
+    real = realize(w)
     assert sorted(real.gens.render()) == ["x", "x^2"]
 
 
@@ -98,7 +99,7 @@ def test_realize_square_pattern():
         assert is_isomorphic(lam.lattice, quot)
 
         w = weight_map(pattern)
-        real = realize(lam.lattice, w)
+        real = realize(w)
         assert sorted(real.gens.minimalize().render()) == sorted(pattern.render())
 
 
@@ -128,7 +129,7 @@ def test_realize_with_random_coprime_weights(rng):
                 break
             lat, _ = collapse(lat, rng.choice(mi))
         w = random_weighting(lat, rng)
-        real = realize(lat, w)  # the roundtrip assertions run inside
+        real = realize(w)  # the roundtrip assertions run inside
         assert len(real.labeling) == lat.n
 
 
@@ -139,8 +140,8 @@ def test_equalize_degrees_two_chain_example():
     lam = lcm_semilattice(g)
     w = weight_map(g)
     anti = [lam.index_of(g.gens[0]), lam.index_of(g.gens[1])]
-    w2 = equalize_degrees(lam.lattice, anti, start=w)
-    real = realize(lam.lattice, w2)
+    w2 = equalize_degrees(w, anti)
+    real = realize(w2)
     degs = {real.labeling[a].degree() for a in anti}
     assert len(degs) == 1 and degs.pop() == 2
 
@@ -148,13 +149,20 @@ def test_equalize_degrees_two_chain_example():
 def test_equalize_rejects_comparable():
     b2 = boolean_semilattice(2)
     with pytest.raises(NotAntichain):
-        equalize_degrees(b2, [0, 2])
+        equalize_degrees(canonical_weighting(b2), [0, 2])
+
+
+@pytest.mark.parametrize("antichain", [[0, 3], [-1, 0], [1, 1], []])
+def test_equalize_rejects_bad_indices(antichain):
+    b2 = boolean_semilattice(2)
+    with pytest.raises(InvalidInput):
+        equalize_degrees(canonical_weighting(b2), antichain)
 
 
 def test_equalize_on_boolean_atoms():
     b3 = boolean_semilattice(3)
-    w = equalize_degrees(b3, list(b3.atoms))
-    real = realize(b3, w)
+    w = equalize_degrees(canonical_weighting(b3), list(b3.atoms))
+    real = realize(w)
     assert len({real.labeling[a].degree() for a in b3.atoms}) == 1
 
 

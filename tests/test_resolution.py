@@ -14,9 +14,7 @@ from lcmlat import (
     ideal_pair,
     lcm_semilattice,
     parse_monomial,
-    pdim_ideal,
     pdim_pair_invariance,
-    pdim_quotient_ring,
     polarize,
     quotient_ring_pair,
     radical,
@@ -124,7 +122,7 @@ def test_complete_intersection_betti(rng):
                 for i in range(k)
             ],
         )
-        table = pdim_quotient_ring(gens)
+        table = taylor_betti(quotient_ring_pair(gens))
         assert table.betti == tuple(comb(k, i) for i in range(k + 1))
 
 
@@ -149,8 +147,8 @@ def test_pdim_shift_between_module_views(rng):
 
     for _ in range(20):
         gens = random_ideal(rng, max_vars=4, max_gens=5, max_exp=3).minimalize()
-        ti = pdim_ideal(gens)
-        tq = pdim_quotient_ring(gens)
+        ti = taylor_betti(ideal_pair(gens))
+        tq = taylor_betti(quotient_ring_pair(gens))
         assert tq.pdim == ti.pdim + 1
         assert tq.betti[1:] == ti.betti
         assert tq.betti[0] == 1
@@ -161,7 +159,7 @@ def test_euler_characteristic(rng):
 
     for _ in range(15):
         gens = random_ideal(rng, max_vars=4, max_gens=4, max_exp=3).minimalize()
-        table = pdim_ideal(gens)
+        table = taylor_betti(ideal_pair(gens))
         euler = sum((-1) ** i * b for i, b in enumerate(table.betti))
         # a resolution of a rank-0 module in homological degree >= 0: the
         # alternating sum of Betti numbers of an ideal equals its rank, 1
@@ -248,7 +246,7 @@ def test_empty_module_rejected():
 
 
 def test_betti_json_shape():
-    table = pdim_ideal(_gens(("x", "y"), "x", "y"))
+    table = taylor_betti(ideal_pair(_gens(("x", "y"), "x", "y")))
     doc = table.to_json()
     assert set(doc) >= {"betti", "pdim", "depth"}
 

@@ -12,8 +12,6 @@ from lcmlat import (
     ideal_pair,
     parse_monomial,
     quotient_ring_pair,
-    sdepth_of_ideal,
-    sdepth_of_quotient_ring,
     sdepth_solve,
     verify_decomposition,
 )
@@ -81,23 +79,23 @@ def test_poset_sorted_by_degree():
 def test_variable_ladder():
     for k in range(1, 5):
         gens = _variables_ideal(k)
-        ri = sdepth_of_ideal(gens)
+        ri = sdepth_solve(ideal_pair(gens))
         assert ri.sdepth == k - k // 2
         assert ri.spdim == k // 2
-        rq = sdepth_of_quotient_ring(gens)
+        rq = sdepth_solve(quotient_ring_pair(gens))
         assert rq.sdepth == 0
         assert rq.spdim == k
 
 
 def test_principal_ideal_full_depth():
-    r = sdepth_of_ideal(_gens(("x", "y"), "x*y"))
+    r = sdepth_solve(ideal_pair(_gens(("x", "y"), "x*y")))
     assert r.sdepth == 2 and r.spdim == 0
 
 
 def test_squarefree_triangle_values():
     gens = _gens(("x", "y", "z"), "x*y", "x*z", "y*z")
-    assert sdepth_of_quotient_ring(gens).spdim == 2
-    assert sdepth_of_ideal(gens).sdepth == 2
+    assert sdepth_solve(quotient_ring_pair(gens)).spdim == 2
+    assert sdepth_solve(ideal_pair(gens)).sdepth == 2
 
 
 # ---------------- agreement with exhaustive search ----------------
@@ -245,7 +243,7 @@ def test_unverified_witness_raises(monkeypatch):
     # (x, y, z): the search at depth 2 returns one singleton for seven points
     monkeypatch.setattr(sdepth_module, "_cover_search", lambda *args: [(0, 0)])
     with pytest.raises(InternalError):
-        sdepth_of_ideal(_gens(("x", "y", "z"), "x", "y", "z"))
+        sdepth_solve(ideal_pair(_gens(("x", "y", "z"), "x", "y", "z")))
 
 
 def test_solver_witness_verifies():
@@ -338,7 +336,7 @@ def test_poset_matches_box_scan(rng):
 
 
 def test_report_json_shape():
-    rep = sdepth_of_ideal(_gens(("x", "y"), "x", "y"))
+    rep = sdepth_solve(ideal_pair(_gens(("x", "y"), "x", "y")))
     doc = rep.to_json()
     assert doc["sdepth"] == 1 and doc["spdim"] == 1
     assert doc["g"] == [1, 1]
