@@ -80,6 +80,7 @@ from .realize import (
     Realization,
     canonical_realization,
     canonical_weighting,
+    chain_weighting,
     equalize_degrees,
     realize,
     single_degree_pair,

@@ -5,22 +5,35 @@ holds every singleton and the full set and is closed under non-empty
 intersection.  Collapsing a meet-irreducible above the atoms drops one member
 and keeps such a family, so the breadth-first walk of these drops from the
 boolean family visits every isomorphism class; duplicates are cut by the
-family's canonical form.  Each class is realized canonically as a squarefree
-monomial ideal and measured: projective dimension and Stanley projective
-dimension of both the ideal and its quotient ring."""
+family's canonical form.  Each class is measured on a monomial realization:
+projective dimension and Stanley projective dimension of both the ideal and
+its quotient ring.  These depend on the lcm-lattice alone, so the narrowest
+realization, one variable per chain of meet-irreducibles, serves; a class
+whose Stanley-depth search there runs past a frame budget is measured on the
+squarefree canonical realization instead."""
 
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
+from math import inf
 from operator import and_
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded, NotAtomistic
 from .lattice import Semilattice, _canon_family, boolean_semilattice, family_semilattice
 from .monomials import GeneratorSet, Monomial, Weighting, ideal_pair, quotient_ring_pair
-from .realize import canonical_realization, realize
+from .realize import canonical_realization, chain_weighting, realize
 from .resolution import taylor_betti
 from .sdepth import sdepth_solve
+
+# Frames one Stanley-depth search on the chain realization may push before
+# the class falls back to the canonical realization.  Over the 5-atom census
+# the chain searches that finish push at most 230 615 frames (one class, whose
+# canonical searches run past a minute; the next is 101 055), the checks5
+# benchmark pool at most 6 003.  Three classes stall there but not on the
+# canonical realization; at about 190 000 frames a second (2-core x86-64 VM)
+# each pays about 1.3 s before it falls back.
+_CHAIN_BUDGET = 250_000
 
 
 def enumerate_atomistic(k: int, config: Config = DEFAULT):
@@ -72,7 +85,7 @@ class LatticeInvariants:
         }
 
 
-def _invariants_of_gens(gens: GeneratorSet, config: Config):
+def _invariants_of_gens(gens: GeneratorSet, config: Config, budget=inf):
     slim = gens.minimalize()
     if len(slim.gens) == 1 and slim.gens[0].degree() == 0:
         # the one-element lattice realizes as the unit ideal, whose lattice
@@ -82,8 +95,8 @@ def _invariants_of_gens(gens: GeneratorSet, config: Config):
     bq = taylor_betti(quotient_ring_pair(slim), config)
     if bq.pdim != bi.pdim + 1:
         raise InternalError("quotient ring must sit one step above its ideal")
-    si = sdepth_solve(ideal_pair(slim), config)
-    sq = sdepth_solve(quotient_ring_pair(slim), config)
+    si = sdepth_solve(ideal_pair(slim), config, budget)
+    sq = sdepth_solve(quotient_ring_pair(slim), config, budget)
     return LatticeInvariants(
         bi.pdim, bq.pdim, si.spdim, sq.spdim, slim.nvars, bq.field
     )
@@ -108,15 +121,23 @@ def random_weighting(lat: Semilattice, rng: random.Random) -> Weighting:
 
 def lattice_invariants(lat: Semilattice, config: Config = DEFAULT,
                        recheck=False, rng=None) -> LatticeInvariants:
-    """Invariants of the canonical realization of an atomistic semilattice.
+    """Invariants of the realizations of an atomistic semilattice.
 
-    With recheck=True the whole computation is repeated on an independent
-    randomized realization and must agree.
+    They are measured on the chain realization, or on the canonical one when
+    a search there exceeds _CHAIN_BUDGET frames; nvars is the canonical
+    variable count, one per meet-irreducible (the one-element lattice is
+    measured as a principal ideal in one variable).  With recheck=True the
+    whole computation is repeated on an independent randomized realization
+    and must agree.
     """
     if not lat.is_atomistic:
         raise NotAtomistic("invariants are defined through atomistic realizations")
-    real = canonical_realization(lat, config)
-    inv = _invariants_of_gens(real.gens, config)
+    try:
+        chain = realize(chain_weighting(lat), config)
+        inv = _invariants_of_gens(chain.gens, config, _CHAIN_BUDGET)
+    except LimitExceeded:
+        inv = _invariants_of_gens(canonical_realization(lat, config).gens, config)
+    inv = replace(inv, nvars=max(len(lat.meet_irreducibles), 1))
     if recheck:
         rng = rng or random.Random(0)
         second = realize(random_weighting(lat, rng), config)

@@ -180,6 +180,8 @@ def _cmd_equalize(args):
         w = _equalize_degrees(_canonical_weighting(lat), ids)
         _emit(args, _mono.weighting_to_json(w))
         return
+    if args.antichain:
+        raise InvalidInput("--antichain applies to lattice documents only")
     pair = _pair_from(doc, "ideal")
     out = _single_degree_pair(pair, cfg)
     _emit(args, _mono.pair_to_json(out))

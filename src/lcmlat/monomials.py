@@ -58,19 +58,21 @@ class Monomial(tuple):
     def divides(self, other):
         return all(map(le, self, other))
 
+    # the arithmetic below keeps exponents valid, so it skips the checks of __new__
+
     def lcm(self, other):
-        return Monomial(map(max, self, other))
+        return tuple.__new__(Monomial, map(max, self, other))
 
     def gcd(self, other):
-        return Monomial(map(min, self, other))
+        return tuple.__new__(Monomial, map(min, self, other))
 
     def mul(self, other):
-        return Monomial(map(add, self, other))
+        return tuple.__new__(Monomial, map(add, self, other))
 
     def div(self, other):
         if not other.divides(self):
             raise InvalidInput("inexact monomial division")
-        return Monomial(map(sub, self, other))
+        return tuple.__new__(Monomial, map(sub, self, other))
 
     def degree(self):
         return sum(self)
@@ -82,7 +84,7 @@ class Monomial(tuple):
         return all(e <= 1 for e in self)
 
     def radical(self):
-        return Monomial(min(e, 1) for e in self)
+        return tuple.__new__(Monomial, (min(e, 1) for e in self))
 
     def sort_key(self):
         return (self.degree(), self)
@@ -336,10 +338,8 @@ def weight_map(gens: GeneratorSet, config: Config = DEFAULT) -> Weighting:
 def reconstruct(w: Weighting, idx: int) -> Monomial:
     """Product of the weights of the bottom and of every element not above idx."""
     lat = w.lattice
-    out = w.bottom
-    for q in _bits(((1 << lat.n) - 1) & ~lat.upper_masks[idx]):
-        out = out.mul(w.weights[q])
-    return out
+    rows = [w.weights[q] for q in _bits(((1 << lat.n) - 1) & ~lat.upper_masks[idx])]
+    return tuple.__new__(Monomial, map(sum, zip(w.bottom, *rows)))
 
 
 def squarefree_check(gens: GeneratorSet):
@@ -367,7 +367,7 @@ def squarefree_check(gens: GeneratorSet):
 
 
 def m_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(min(x, y) == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 # ---------------- transforms ----------------
@@ -501,15 +501,6 @@ def _checked_shifts(gens: GeneratorSet, shifts):
     return eps
 
 
-def validate_deformation(gens: GeneratorSet, shifts):
-    """(True, None) for a valid deformation, (False, witness) otherwise."""
-    try:
-        _checked_shifts(gens, shifts)
-    except InvalidDeformation as exc:
-        return False, str(exc)
-    return True, None
-
-
 def deform(obj, shifts):
     """Add one shift row to each generator; a pair I/J takes one joint shift
     of its combined generators (union_generators order) and must keep J inside I."""
@@ -526,6 +517,15 @@ def deform(obj, shifts):
                 0, 0, 0, "deformation does not keep J inside I"
             )
     return QuotientPair(newi, newj)
+
+
+def validate_deformation(obj, shifts):
+    """(True, None) when `deform(obj, shifts)` is valid, (False, witness) otherwise."""
+    try:
+        deform(obj, shifts)
+    except InvalidDeformation as exc:
+        return False, str(exc)
+    return True, None
 
 
 def is_generic(gens: GeneratorSet) -> bool:

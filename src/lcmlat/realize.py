@@ -96,6 +96,58 @@ def canonical_weighting(lat: Semilattice) -> Weighting:
     return Weighting(lat, variables, Monomial.one(len(mi)), tuple(weights))
 
 
+def _chain_partition(lat: Semilattice, elements):
+    """Fewest chains covering `elements` (Dilworth): a maximum matching of
+    each element to one strictly above it, its successor in its chain, grown
+    by breadth-first augmenting paths with roots and candidates in the
+    given order."""
+    succ, pred = {}, {}
+    for root in elements:
+        via, queue, free = {}, [root], None  # via: right end -> the left end reaching it
+        for x in queue:  # the queue grows while it is walked
+            for b in elements:
+                if b != x and b not in via and lat.upper_masks[x] >> b & 1:
+                    via[b] = x
+                    if b not in pred:
+                        free = b
+                        break
+                    queue.append(pred[b])
+            if free is not None:
+                break
+        while free is not None:  # flip the path; the root had no successor
+            x = via[free]
+            old = succ.get(x)
+            succ[x], pred[free] = free, x
+            free = old
+    chains = []
+    for m in elements:
+        if m not in pred:
+            chain = [m]
+            while chain[-1] in succ:
+                chain.append(succ[chain[-1]])
+            chains.append(chain)
+    return chains
+
+
+def chain_weighting(lat: Semilattice) -> Weighting:
+    """One variable per chain of a minimum chain partition of the
+    meet-irreducibles, which is the weight of every member of that chain;
+    every other element and the bottom carry the unit weight.
+
+    Only incomparable elements need coprime weights, and members of one chain
+    are comparable, so this is realizable.  Its realization polarizes to the
+    canonical one: an element's exponent on a chain counts the members not
+    above it, always an initial segment of the chain.
+    """
+    chains = _chain_partition(lat, lat.meet_irreducibles)
+    var = {m: t for t, chain in enumerate(chains) for m in chain}
+    weights = tuple(
+        Monomial([int(var.get(x) == t) for t in range(len(chains))]) for x in range(lat.n)
+    )
+    variables = tuple(f"c{t}" for t in range(len(chains)))
+    return Weighting(lat, variables, Monomial.one(len(chains)), weights)
+
+
 def canonical_realization(lat: Semilattice, config: Config = DEFAULT) -> Realization:
     """Squarefree realization over one variable per meet-irreducible."""
     real = realize(canonical_weighting(lat), config)

@@ -33,7 +33,7 @@ level from the highest down, lowest index first.
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
+from math import comb, inf
 from operator import eq
 
 from .config import DEFAULT, Config
@@ -111,7 +111,7 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
 
 
-def _cover_search(target, full, up, down, level):
+def _cover_search(target, full, up, down, level, budget):
     """A partition into intervals whose tops all reach `target`, or None.
 
     level[r] is the mask of the points of ceiling count r; the tops are tried
@@ -119,6 +119,7 @@ def _cover_search(target, full, up, down, level):
     explicit stack is (uncovered, a, above, r, pending): the state, its
     bottom, the uncovered points above it, the level walked and the tops of
     that level not yet tried.  Dead and exhausted states go to the fail cache.
+    Pushing more than `budget` frames raises LimitExceeded.
     """
     high = 0
     for m in level[target:]:
@@ -184,6 +185,9 @@ def _cover_search(target, full, up, down, level):
             if len(fail) < _FAIL_CACHE_CAP:
                 fail.add(rest)
             continue
+        budget -= 1
+        if budget < 0:
+            raise LimitExceeded("sdepth search exceeds its frame budget")
         frames.append((uncovered, a, above, r, pending))
         uncovered = rest
         a = (rest & -rest).bit_length() - 1
@@ -234,8 +238,11 @@ class SdepthReport:
         }
 
 
-def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
-    """Exact Stanley depth, its complement, and an optimal interval partition."""
+def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> SdepthReport:
+    """Exact Stanley depth, its complement, and an optimal interval partition.
+
+    Each search pushes at most `budget` frames, or LimitExceeded is raised.
+    """
     poset = characteristic_poset(pair, config)
     pts = poset.points
     n = poset.size
@@ -252,7 +259,7 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT) -> SdepthReport:
     tcap = min(next(r for r in range(nvars, -1, -1) if u & level[r]) for u in up)
     tcap = min(tcap, _hilbert_cap(poset))
     for target in range(value + 1, tcap + 1):
-        found = _cover_search(target, full, up, down, level)
+        found = _cover_search(target, full, up, down, level, budget)
         if found is None:
             break
         witness = found

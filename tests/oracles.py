@@ -317,6 +317,15 @@ def joins_by_definition(leq):
     return tuple(table)
 
 
+def width_by_search(elements, leq):
+    """Size of the largest antichain among `elements`, over all their subsets."""
+    return max(
+        r for r in range(len(elements) + 1)
+        for sub in combinations(elements, r)
+        if not any(leq[a][b] for a in sub for b in sub if a != b)
+    )
+
+
 # ---------------- associated primes by grid colon scan ----------------
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from lcmlat import (
     Semilattice,
     boolean_semilattice,
     canonical_form,
+    canonical_realization,
     census,
     check_conjectures,
     collapse,
@@ -16,7 +18,8 @@ from lcmlat import (
     random_weighting,
     validate_weighting,
 )
-from lcmlat.config import Config
+from lcmlat import classify
+from lcmlat.config import DEFAULT, Config
 
 from oracles import family_classes, family_to_lattice
 
@@ -102,6 +105,43 @@ def test_invariants_realization_independent(rng):
     # recheck=True recomputes through a random second realization and asserts
     for _, lat in enumerate_atomistic(3):
         lattice_invariants(lat, recheck=True, rng=rng)
+
+
+def _canonical_route(lat):
+    return replace(
+        classify._invariants_of_gens(canonical_realization(lat).gens, DEFAULT),
+        nvars=max(len(lat.meet_irreducibles), 1),
+    )
+
+
+def _fallbacks(monkeypatch):
+    """The lattices lattice_invariants hands to the canonical realization."""
+    seen = []
+
+    def spy(lat, config=DEFAULT):
+        seen.append(lat)
+        return canonical_realization(lat, config)
+
+    monkeypatch.setattr(classify, "canonical_realization", spy)
+    return seen
+
+
+def test_chain_route_matches_canonical_route(monkeypatch):
+    fallbacks = _fallbacks(monkeypatch)
+    for k in range(1, 5):
+        for _, lat in enumerate_atomistic(k):
+            assert lattice_invariants(lat) == _canonical_route(lat)
+    assert fallbacks == []
+
+
+def test_zero_budget_falls_back_to_canonical(monkeypatch):
+    fallbacks = _fallbacks(monkeypatch)
+    monkeypatch.setattr(classify, "_CHAIN_BUDGET", 0)
+    lats = [lat for k in range(1, 5) for _, lat in enumerate_atomistic(k)]
+    for lat in lats:
+        assert lattice_invariants(lat) == _canonical_route(lat)
+    # from three atoms on, some search of every class pushes a frame
+    assert [id(lat) for lat in fallbacks] == [id(lat) for lat in lats if len(lat.atoms) >= 3]
 
 
 def test_invariants_need_atomistic():

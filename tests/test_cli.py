@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -245,9 +246,9 @@ def test_deform_malformed_shifts_exit_1(tmp_path, capsys, shifts):
     assert out == "" and "shift 0" in err and "Traceback" not in err
 
 
-# each document or option carries one number that is not an integer, or an
-# index outside the lattice; {doc} is the malformed document and {ideal} a
-# well-formed ideal
+# each document or option carries one number that is not an integer, an
+# index outside the lattice, or an option its document does not take; {doc}
+# is the malformed document and {ideal} a well-formed ideal
 _MALFORMED_NUMBERS = {
     "cover 1e400": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 1e400]]}',
                     ["lattice", "{doc}"]),
@@ -266,6 +267,8 @@ _MALFORMED_NUMBERS = {
                        ["equalize", "{doc}", "--antichain", "0,99"]),
     "antichain -1,0": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 2]]}',
                        ["equalize", "{doc}", "--antichain=-1,0"]),
+    "antichain on an ideal": (json.dumps(TRIANGLE), ["equalize", "{doc}", "--antichain", "0,1"]),
+    "antichain on a pair": (json.dumps(PAIR), ["equalize", "{doc}", "--antichain", "0,1"]),
     "image ab": ('{"image": "ab"}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
     "image 5": ('{"image": 5}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
 }
@@ -279,6 +282,8 @@ def test_malformed_numbers_exit_1(tmp_path, capsys, text, argv):
     code, out, err = _run([paths.get(a, a) for a in argv], capsys)
     assert code == 1
     assert out == "" and err.startswith("error:")
+    if "--antichain" in argv and not text.startswith('{"elements"'):
+        assert "lattice documents only" in err
 
 
 def test_generic_command(tmp_path, capsys):
@@ -306,6 +311,16 @@ def test_classify_command(tmp_path, capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert lines[-1] == {"summary": {"atoms": 3, "classes": 4, "counterexamples": 0}}
     assert len(lines) == 5
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_classify_golden_stdout(capsys):
+    # every record of the checked 4-atom census, invariants included, byte for byte
+    code, out, err = _run(["classify", "--atoms", "4"], capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / "classify_atoms4.jsonl").read_text()
 
 
 def test_classify_long_run_guard(capsys):

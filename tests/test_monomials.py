@@ -482,6 +482,13 @@ def test_deform_pair_containment_recheck():
     assert ok
     with pytest.raises(InvalidDeformation):
         deform(pair, [(0, 5), (0, 0)])
+    # validate_deformation judges a pair the way deform does
+    ok, witness = validate_deformation(pair, [(0, 5), (0, 0)])
+    assert not ok and "J inside I" in witness
+    assert validate_deformation(pair, [(1, 0), (1, 0)]) == (True, None)
+    ok, witness = validate_deformation(pair, [(1, 0), (0, 0)])
+    assert not ok and "strict" in witness
+    assert validate_deformation(ideal_pair(gens(("x", "y"), "x", "y")), [(0, 0), (0, 0)]) == (True, None)
     # a joint shift that respects containment goes through
     out = deform(pair, [(1, 0), (1, 0)])
     assert sorted(out.i.render()) == ["x^2*y"]

@@ -13,7 +13,9 @@ from lcmlat import (
     boolean_semilattice,
     canonical_realization,
     canonical_weighting,
+    chain_weighting,
     collapse,
+    enumerate_atomistic,
     equalize_degrees,
     ideal_pair,
     is_isomorphic,
@@ -26,6 +28,8 @@ from lcmlat import (
     validate_weighting,
     weight_map,
 )
+
+from oracles import width_by_search
 
 
 def test_validate_weighting_conditions():
@@ -131,6 +135,47 @@ def test_realize_with_random_coprime_weights(rng):
         w = random_weighting(lat, rng)
         real = realize(w)  # the roundtrip assertions run inside
         assert len(real.labeling) == lat.n
+
+
+def _small_lattices():
+    """Every atomistic class on at most 4 atoms, a chain and two non-atomistic lattices."""
+    for k in range(1, 5):
+        for _, lat in enumerate_atomistic(k):
+            yield lat
+    yield Semilattice.from_relations(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3)])
+    yield Semilattice.from_relations(
+        ["a", "b", "c", "d", "e", "f"], [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (0, 5)]
+    )
+    # meet-irreducibles a < c, a < d, b < c: matching a to c first leaves b
+    # alone, so only an augmenting path reaches two chains
+    yield Semilattice.from_relations(
+        ["a", "b", "c", "d", "e", "top"], [(0, 4), (4, 2), (4, 3), (1, 2), (2, 5), (3, 5)]
+    )
+
+
+def test_chain_weighting_is_valid_with_width_many_variables():
+    for lat in _small_lattices():
+        w = chain_weighting(lat)
+        ok, witness = validate_weighting(w)
+        assert ok, witness
+        assert len(w.variables) == width_by_search(lat.meet_irreducibles, lat.leq.tolist())
+        assert len(realize(w).labeling) == lat.n
+
+
+def _polarized_columns(labeling):
+    """Per variable of exponent up to d, its d polarized columns: x^e -> x_1 ... x_e."""
+    cols = []
+    for col in zip(*labeling):
+        cols += [tuple(int(e >= t) for e in col) for t in range(1, max(col, default=0) + 1)]
+    return sorted(cols)
+
+
+def test_chain_realization_polarizes_to_canonical():
+    # equal up to a renaming of variables: the same multiset of columns
+    for lat in _small_lattices():
+        chain = realize(chain_weighting(lat)).labeling
+        canon = canonical_realization(lat).labeling
+        assert _polarized_columns(chain) == sorted(zip(*canon))
 
 
 def test_equalize_degrees_two_chain_example():

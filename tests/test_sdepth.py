@@ -246,6 +246,21 @@ def test_unverified_witness_raises(monkeypatch):
         sdepth_solve(ideal_pair(_gens(("x", "y", "z"), "x", "y", "z")))
 
 
+def test_budget_bounds_pushed_frames():
+    # a budget that lets every search finish changes nothing; one frame less raises
+    pair = quotient_ring_pair(_gens(("x", "y", "z", "w"), "x*y", "y*z", "z*w", "w*x"))
+    free = sdepth_solve(pair).to_json()
+
+    def passes(budget):
+        try:
+            return sdepth_solve(pair, budget=budget).to_json() == free
+        except LimitExceeded:
+            return False
+
+    need = next(b for b in range(10_000) if passes(b))
+    assert need > 0 and not passes(need - 1) and passes(10 * need)
+
+
 def test_solver_witness_verifies():
     gens = _gens(("x", "y", "z"), "x*y", "x*z", "y*z")
     for pair in (ideal_pair(gens), quotient_ring_pair(gens)):
