@@ -77,7 +77,6 @@ from .monomials import (
     weighting_to_json,
 )
 from .realize import (
-    Realization,
     canonical_realization,
     canonical_weighting,
     chain_weighting,

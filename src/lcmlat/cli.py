@@ -9,6 +9,7 @@ fixed input.
 
 import argparse
 import json
+import re
 import sys
 
 from .config import Config
@@ -81,13 +82,10 @@ def _config(args) -> Config:
     cfg = Config()
     field = getattr(args, "field", None)
     if field:
-        if field == "Q":
-            cfg.field = "Q"
-        else:
-            digits = "".join(ch for ch in field if ch.isdigit())
-            if not digits:
-                raise InvalidInput(f"cannot parse field {field!r}")
-            cfg.field = ("GF", int(digits))
+        prime = re.fullmatch(r"GF:([0-9]+)|GF\(([0-9]+)\)", field)
+        if field != "Q" and not prime:
+            raise InvalidInput(f"cannot parse field {field!r}")
+        cfg.field = ("GF", int(prime[1] or prime[2])) if prime else "Q"
         cfg.validate_field()
     if getattr(args, "long_run", False):
         cfg.long_run = True
@@ -153,17 +151,15 @@ def _cmd_weights(args):
 def _cmd_realize(args):
     cfg = _config(args)
     w = _mono.weighting_from_json(_load(args.input), cfg)
-    real = _do_realize(w, cfg)
-    gens = real.gens.minimalize() if args.minimal else real.gens
-    _emit(args, _mono.gens_to_json(gens))
+    gens = _do_realize(w, cfg)
+    _emit(args, _mono.gens_to_json(gens.minimalize() if args.minimal else gens))
 
 
 def _cmd_canonical(args):
     cfg = _config(args)
     lat = _lattice_of(_load(args.input), cfg)
-    real = _canonical_realization(lat, cfg)
-    gens = real.gens.minimalize() if args.minimal else real.gens
-    _emit(args, _mono.gens_to_json(gens))
+    gens = _canonical_realization(lat, cfg)
+    _emit(args, _mono.gens_to_json(gens.minimalize() if args.minimal else gens))
 
 
 def _cmd_equalize(args):
@@ -288,9 +284,7 @@ def _cmd_classify(args):
             bundle = {
                 "record": record,
                 "lattice": _lattice.lattice_to_json(lat),
-                "realization": _mono.gens_to_json(
-                    _canonical_realization(lat, cfg).gens
-                ),
+                "realization": _mono.gens_to_json(_canonical_realization(lat, cfg)),
             }
             sys.stderr.write(json.dumps(bundle, sort_keys=True) + "\n")
         raise AssertionError(f"{len(bad)} counterexample(s) found")
@@ -372,7 +366,8 @@ def _build_parser():
         inputs=("a", "b", "map"))
     sub.choices["check-map"].add_argument("--with-sdepth", action="store_true")
     for name in ("betti", "pdim", "classify", "check-map"):
-        sub.choices[name].add_argument("--field", help="Q (default) or a prime like GF:5")
+        sub.choices[name].add_argument(
+            "--field", help="Q (default), GF:p or GF(p) for a prime p")
     return top
 
 

@@ -8,8 +8,6 @@ lattice as its lcm-semilattice and the original weights as its standard
 weight map.  Both halves of that round trip are checked here.
 """
 
-from dataclasses import dataclass
-
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, InvalidWeighting, NotAntichain
 from .lattice import Semilattice
@@ -50,25 +48,20 @@ def validate_weighting(w: Weighting):
     return True, None
 
 
-@dataclass
-class Realization:
-    gens: GeneratorSet  # the full family, one generator per lattice element
-    labeling: tuple  # element index -> its monomial
-
-
-def realize(w: Weighting, config: Config = DEFAULT) -> Realization:
-    """Invert a weighting into monomials and check the round trip."""
+def realize(w: Weighting, config: Config = DEFAULT) -> GeneratorSet:
+    """Invert a weighting into monomials, generator i for element i, and
+    check the round trip."""
     ok, witness = validate_weighting(w)
     if not ok:
         raise InvalidWeighting(witness)
-    labeling = [reconstruct(w, m) for m in range(w.lattice.n)]
-    gens = GeneratorSet(w.variables, labeling)
-    _check_roundtrip(w, gens, labeling, config)
-    return Realization(gens, tuple(labeling))
+    gens = GeneratorSet(w.variables, [reconstruct(w, m) for m in range(w.lattice.n)])
+    _check_roundtrip(w, gens, config)
+    return gens
 
 
-def _check_roundtrip(w, gens, labeling, config):
+def _check_roundtrip(w, gens, config):
     lat = w.lattice
+    labeling = gens.gens
     back = weight_map(gens, config)
     index = {m: i for i, m in enumerate(back.monomials)}
     if len(set(labeling)) != lat.n or set(index) != set(labeling):
@@ -82,18 +75,20 @@ def _check_roundtrip(w, gens, labeling, config):
         raise InternalError("weights do not survive the round trip")
 
 
+def _chains_weighting(lat: Semilattice, chains, variables) -> Weighting:
+    """Variable t is the weight of every member of chains[t]; every other
+    element and the bottom carry the unit weight."""
+    var = {m: t for t, chain in enumerate(chains) for m in chain}
+    weights = tuple(
+        Monomial([int(var.get(x) == t) for t in range(len(chains))]) for x in range(lat.n)
+    )
+    return Weighting(lat, tuple(variables), Monomial.one(len(chains)), weights)
+
+
 def canonical_weighting(lat: Semilattice) -> Weighting:
     """One fresh variable per meet-irreducible element, unit everywhere else."""
     mi = lat.meet_irreducibles
-    variables = tuple(f"w{m}" for m in mi)
-    pos = {m: t for t, m in enumerate(mi)}
-    weights = []
-    for x in range(lat.n):
-        e = [0] * len(mi)
-        if x in pos:
-            e[pos[x]] = 1
-        weights.append(Monomial(e))
-    return Weighting(lat, variables, Monomial.one(len(mi)), tuple(weights))
+    return _chains_weighting(lat, [[m] for m in mi], [f"w{m}" for m in mi])
 
 
 def _chain_partition(lat: Semilattice, elements):
@@ -140,18 +135,13 @@ def chain_weighting(lat: Semilattice) -> Weighting:
     above it, always an initial segment of the chain.
     """
     chains = _chain_partition(lat, lat.meet_irreducibles)
-    var = {m: t for t, chain in enumerate(chains) for m in chain}
-    weights = tuple(
-        Monomial([int(var.get(x) == t) for t in range(len(chains))]) for x in range(lat.n)
-    )
-    variables = tuple(f"c{t}" for t in range(len(chains)))
-    return Weighting(lat, variables, Monomial.one(len(chains)), weights)
+    return _chains_weighting(lat, chains, [f"c{t}" for t in range(len(chains))])
 
 
-def canonical_realization(lat: Semilattice, config: Config = DEFAULT) -> Realization:
+def canonical_realization(lat: Semilattice, config: Config = DEFAULT) -> GeneratorSet:
     """Squarefree realization over one variable per meet-irreducible."""
     real = realize(canonical_weighting(lat), config)
-    if not all(m.is_squarefree() for m in real.labeling):
+    if not real.is_squarefree_raw():
         raise InternalError("the canonical realization is not squarefree")
     return real
 
@@ -218,11 +208,8 @@ def single_degree_pair(pair: QuotientPair, config: Config = DEFAULT) -> Quotient
     if any(t is None for t in targets):
         raise InvalidInput("minimal generators must appear in the joint lattice")
     real = realize(equalize_degrees(base, targets), config)
-    new_i = GeneratorSet(real.gens.variables, [real.labeling[t] for t in targets])
-    new_j = GeneratorSet(
-        real.gens.variables,
-        [real.labeling[index[g]] for g in slim.j.gens],
-    )
+    new_i = GeneratorSet(real.variables, [real.gens[t] for t in targets])
+    new_j = GeneratorSet(real.variables, [real.gens[index[g]] for g in slim.j.gens])
     if len({g.degree() for g in new_i.gens}) != 1:
         raise InternalError("the numerator did not end up in a single degree")
     return QuotientPair(new_i, new_j)

@@ -17,10 +17,10 @@ last top, of ceiling count under the target, has no top q of count at least
 the target with the whole interval [p, q] uncovered: any interval that later
 covers p contains [p, q] for its top q, and only points below the last top
 can lose such a q.  A dead state goes to the fail cache like an exhausted
-one; each point's last free top is tested first.  On a squarefree box the Hilbert depth
-(Bruns-Krattenthaler-Uliczka) of the point counts by support size bounds
-Stanley depth from above, so the search that would fail one level higher is
-skipped when the bound is reached.
+one; each point's last free top is tested first.  The Hilbert depth
+(Bruns-Krattenthaler-Uliczka) of the polarized box bounds Stanley depth from
+above, so the search that would fail one level higher is skipped when the
+bound is reached.
 
 The box cells are bitsets in mixed radix, and the point set is the union of
 the generators' up-sets in I less those in J.  Point sets of the search are
@@ -32,8 +32,8 @@ level from the highest down, lowest index first.
 """
 
 from dataclasses import dataclass
-from itertools import product
-from math import comb, inf
+from itertools import accumulate, product
+from math import inf
 from operator import eq
 
 from .config import DEFAULT, Config
@@ -197,26 +197,38 @@ def _cover_search(target, full, up, down, level, budget):
 
 
 def _hilbert_cap(poset):
-    """An upper bound on Stanley depth: the variable count, or on a squarefree
-    box the zero-capped variables plus the Hilbert depth of the rest.
+    """An upper bound on Stanley depth: the Hilbert depth of the polarized box.
 
-    With f[j] the points of j coordinates at 1, sdepth >= d on the other
-    variables needs sum_{j<=k} (-1)^(k-j) C(d-j, k-j) f[j] >= 0 for every
-    k <= d (Bruns-Krattenthaler-Uliczka): one interval [a, b] with |b| >= d
-    adds C(|b|-|a|+k-d-1, k-|a|) >= 0 to the sum, by Vandermonde.
+    Polarization turns the box [0, g] of n variables into a squarefree box of
+    N = sum(g) variables and adds N - n to Stanley depth (Ichim, Katthän and
+    Moyano-Fernández).  A point c becomes a boolean interval of polarized
+    points, from degree |c| up to degree N - n + cc(c), cc the ceiling count.
+    With f[j] the polarized points of degree j, Stanley depth D here, which
+    is d = N - n + D there, needs every coefficient of
+    H = sum_{j<=d} f[j] t^j (1-t)^(d-j) to be non-negative
+    (Bruns-Krattenthaler-Uliczka): one interval [a, b] with |b| >= d adds
+    C(|b|-|a|+k-d-1, k-|a|) >= 0 to the coefficient of t^k, by Vandermonde.
+    Summed interval by interval, H up to degree d is S / (1-t)^(n-D) for the
+    polynomial S = sum_c t^|c| (1-t)^(n - cc(c)).  The coefficients for
+    d - 1 are partial sums of those for d, so the passing depths are an
+    initial segment; D runs down from n, one prefix sum a step, to the first
+    that passes.
     """
-    nvars = len(poset.ceiling)
-    if max(poset.ceiling, default=0) > 1:
-        return nvars
-    zero = poset.ceiling.count(0)
-    f = [0] * (nvars + 1)
+    n = len(poset.ceiling)
+    total = sum(poset.ceiling)
+    rows = [[0] * (total + 1) for _ in range(n + 1)]
     for p in poset.points:
-        f[sum(p)] += 1
-    return zero + max(
-        d for d in range(nvars - zero + 1)
-        if all(sum((-1) ** (k - j) * comb(d - j, k - j) * f[j] for j in range(k + 1)) >= 0
-               for k in range(d + 1))
-    )
+        rows[poset.ceiling_count(p)][sum(p)] += 1
+    h = [0] * (total + 1)
+    for r, row in enumerate(rows):
+        for _ in range(n - r):
+            row = [a - b for a, b in zip(row, [0] + row)]
+        h = [a + b for a, b in zip(h, row)]
+    depth = n
+    while min(h[:total - n + depth + 1]) < 0:  # h[0] counts points, so d = 0 passes
+        depth -= 1
+        h = list(accumulate(h))
+    return depth
 
 
 @dataclass
@@ -257,7 +269,8 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> Sd
     witness = [(i, i) for i in range(n)]
     # no interval bottomed at i can top out above the highest level over i
     tcap = min(next(r for r in range(nvars, -1, -1) if u & level[r]) for u in up)
-    tcap = min(tcap, _hilbert_cap(poset))
+    if tcap > value:  # only a search can use the cap
+        tcap = min(tcap, _hilbert_cap(poset))
     for target in range(value + 1, tcap + 1):
         found = _cover_search(target, full, up, down, level, budget)
         if found is None:

@@ -12,6 +12,7 @@ frozen where the suite needs literal constants.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 
 
 # ---------------- Stanley depth by exhaustive interval partitions ----------------
@@ -69,6 +70,39 @@ def box_points(pair):
 def brute_sdepth_pair(pair):
     """Characteristic box points computed from scratch, then brute_sdepth."""
     return brute_sdepth(*box_points(pair))
+
+
+def polarized_hilbert_cap(pair):
+    """n - N plus the Hilbert depth of the polarized pair, N = sum(g).
+
+    The polarized box {0, 1}^N is scanned point by point: a point lies in
+    the polarization of an ideal when, for some generator w, each variable j
+    has its first w[j] polarized slots set.  With f[j] the points of I^p not
+    in J^p of degree j, the Hilbert depth is the largest d <= N with
+    sum_{j<=k} (-1)^(k-j) C(d-j, k-j) f[j] >= 0 for every k <= d.
+    """
+    pr = pair.minimalize()
+    _, g = box_points(pair)
+    start = [sum(g[:j]) for j in range(len(g))]
+    big = sum(g)
+    f = [0] * (big + 1)
+    for q in product((0, 1), repeat=big):
+        runs = []
+        for j, e in enumerate(g):
+            r = 0
+            while r < e and q[start[j] + r]:
+                r += 1
+            runs.append(r)
+        in_i = any(all(r >= w.exps[j] for j, r in enumerate(runs)) for w in pr.i.gens)
+        in_j = any(all(r >= w.exps[j] for j, r in enumerate(runs)) for w in pr.j.gens)
+        if in_i and not in_j:
+            f[sum(q)] += 1
+    depth = max(
+        d for d in range(big + 1)
+        if all(sum((-1) ** (k - j) * comb(d - j, k - j) * f[j] for j in range(k + 1)) >= 0
+               for k in range(d + 1))
+    )
+    return len(g) - big + depth
 
 
 def first_found_witness(points, ceiling):

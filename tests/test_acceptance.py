@@ -214,12 +214,12 @@ def test_criterion_06_realizability_roundtrips():
         lat = _random_atomistic(rng)
         w = random_weighting(lat, rng)
         real = realize(w)
-        lam = lcm_semilattice(real.gens)
+        lam = lcm_semilattice(real)
         assert is_isomorphic(lam.lattice, lat)
-        wm = weight_map(real.gens)
+        wm = weight_map(real)
         assert wm.bottom == w.bottom
         for x in range(lat.n):
-            ix = lam.index_of(real.labeling[x])
+            ix = lam.index_of(real.gens[x])
             assert ix is not None
             assert wm.weights[ix] == w.weights[x]
     _finish(6, "200 realizability roundtrips", t0, 120)
@@ -248,14 +248,14 @@ def test_criterion_07_monotone_maps():
 
         ra = canonical_realization(src_lat)
         rb = canonical_realization(tgt_lat)
-        pa = ideal_pair(ra.gens.minimalize())
-        pb = ideal_pair(rb.gens.minimalize())
+        pa = ideal_pair(ra.minimalize())
+        pb = ideal_pair(rb.minimalize())
         la = lcm_semilattice(union_generators(pa))
         lb = lcm_semilattice(union_generators(pb))
         transported = [None] * la.lattice.n
         for x in range(src_lat.n):
-            ia = la.index_of(ra.labeling[x])
-            ib = lb.index_of(rb.labeling[image[x]])
+            ia = la.index_of(ra.gens[x])
+            ib = lb.index_of(rb.gens[image[x]])
             assert ia is not None and ib is not None
             transported[ia] = ib
         assert None not in transported

@@ -68,6 +68,54 @@ def test_canonical_command(tmp_path, capsys):
     assert len(doc["generators"]) == 2
 
 
+B3 = {"elements": ["{1}", "{2}", "{1,2}", "{3}", "{1,3}", "{2,3}", "{1,2,3}"],
+      "covers": [[0, 2], [0, 4], [1, 2], [1, 5], [2, 6], [3, 4], [3, 5], [4, 6], [5, 6]]}
+TRIANGLE_WEIGHTING = {
+    "bottom": [0, 0, 0],
+    "lattice": {"covers": [[0, 3], [1, 3], [2, 3]],
+                "elements": ["y*z", "x*z", "x*y", "x*y*z"]},
+    "variables": ["x", "y", "z"],
+    "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+}
+_TRIANGLE_FAMILY = [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+
+# realize and canonical stdout pinned byte for byte: one generator per
+# element in element order, canonical variables w{m} for each
+# meet-irreducible m (the atoms of B3 are not meet-irreducible)
+_REALIZE_GOLDEN = {
+    "canonical B3": (
+        ["canonical"], B3,
+        {"generators": [[0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1],
+                        [1, 1, 0], [1, 1, 1]],
+         "variables": ["w2", "w4", "w5"]},
+    ),
+    "canonical B3 minimal": (
+        ["canonical", "--minimal"], B3,
+        {"generators": [[0, 0, 1], [0, 1, 0], [1, 0, 0]], "variables": ["w2", "w4", "w5"]},
+    ),
+    "canonical triangle": (
+        ["canonical"], TRIANGLE,
+        {"generators": _TRIANGLE_FAMILY, "variables": ["w0", "w1", "w2"]},
+    ),
+    "realize triangle": (
+        ["realize"], TRIANGLE_WEIGHTING,
+        {"generators": _TRIANGLE_FAMILY, "variables": ["x", "y", "z"]},
+    ),
+    "realize triangle minimal": (
+        ["realize", "--minimal"], TRIANGLE_WEIGHTING,
+        {"generators": _TRIANGLE_FAMILY[:3], "variables": ["x", "y", "z"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, doc, want", _REALIZE_GOLDEN.values(), ids=_REALIZE_GOLDEN)
+def test_realize_golden_stdout(tmp_path, capsys, argv, doc, want):
+    src = _write(tmp_path, "doc.json", doc)
+    code, out, err = _run([argv[0], src, *argv[1:]], capsys)
+    assert code == 0, err
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_equalize_pair_output(tmp_path, capsys):
     src = _write(
         tmp_path, "i.json",
@@ -155,8 +203,16 @@ def test_field_option(tmp_path, capsys):
         ["betti", src, "--module", "quotient-ring", "--field", "GF:2"], capsys
     )
     assert code == 0 and json.loads(out)["betti"] == [1, 3, 2]
+    code, out, _ = _run(["pdim", src, "--field", "GF(3)"], capsys)
+    assert code == 0 and json.loads(out)["field"] == "GF(3)"
     code, _, _ = _run(["betti", src, "--field", "GF:notaprime"], capsys)
     assert code == 1
+    # only Q, GF:p and GF(p) parse; stray characters around the digits do not
+    for bad in ("x7", "1e3", "Q2", "7", "GF7", "GF:7)", "GF(7", "gf:7", "GF: 7", "GF:"):
+        code, _, err = _run(["betti", src, "--field", bad], capsys)
+        assert code == 1 and "cannot parse field" in err, bad
+    code, _, err = _run(["betti", src, "--field", "GF:4"], capsys)
+    assert code == 1 and "prime" in err
 
 
 def test_field_only_where_it_is_read(tmp_path, capsys):

@@ -61,12 +61,12 @@ def test_validate_weighting_conditions():
 def test_realize_b2_canonical():
     b2 = boolean_semilattice(2)
     real = canonical_realization(b2)
-    rendered = sorted(real.gens.render())
+    rendered = sorted(real.render())
     # one variable per meet-irreducible (here: both atoms), top = product
     assert len(rendered) == 3
-    mins = real.gens.minimalize()
+    mins = real.minimalize()
     assert len(mins.gens) == 2
-    assert all(m.is_squarefree() for m in real.labeling)
+    assert all(m.is_squarefree() for m in real.gens)
 
 
 def test_realize_rejects_invalid():
@@ -82,7 +82,7 @@ def test_realize_chain_with_heavy_bottom():
     chain = Semilattice.from_relations(["a", "b"], [(0, 1)])
     w = Weighting(chain, ("x",), Monomial((1,)), (Monomial((1,)), Monomial.one(1)))
     real = realize(w)
-    assert sorted(real.gens.render()) == ["x", "x^2"]
+    assert sorted(real.render()) == ["x", "x^2"]
 
 
 def test_realize_square_pattern():
@@ -104,7 +104,7 @@ def test_realize_square_pattern():
 
         w = weight_map(pattern)
         real = realize(w)
-        assert sorted(real.gens.minimalize().render()) == sorted(pattern.render())
+        assert sorted(real.minimalize().render()) == sorted(pattern.render())
 
 
 def test_canonical_realization_roundtrip_on_collapses(rng):
@@ -117,7 +117,7 @@ def test_canonical_realization_roundtrip_on_collapses(rng):
                 break
             lat, _ = collapse(lat, rng.choice(mi))
         real = canonical_realization(lat)
-        back = lcm_semilattice(real.gens)
+        back = lcm_semilattice(real)
         assert is_isomorphic(back.lattice, lat)
 
 
@@ -134,7 +134,7 @@ def test_realize_with_random_coprime_weights(rng):
             lat, _ = collapse(lat, rng.choice(mi))
         w = random_weighting(lat, rng)
         real = realize(w)  # the roundtrip assertions run inside
-        assert len(real.labeling) == lat.n
+        assert len(real) == lat.n
 
 
 def _small_lattices():
@@ -159,7 +159,7 @@ def test_chain_weighting_is_valid_with_width_many_variables():
         ok, witness = validate_weighting(w)
         assert ok, witness
         assert len(w.variables) == width_by_search(lat.meet_irreducibles, lat.leq.tolist())
-        assert len(realize(w).labeling) == lat.n
+        assert len(realize(w)) == lat.n
 
 
 def _polarized_columns(labeling):
@@ -173,8 +173,8 @@ def _polarized_columns(labeling):
 def test_chain_realization_polarizes_to_canonical():
     # equal up to a renaming of variables: the same multiset of columns
     for lat in _small_lattices():
-        chain = realize(chain_weighting(lat)).labeling
-        canon = canonical_realization(lat).labeling
+        chain = realize(chain_weighting(lat)).gens
+        canon = canonical_realization(lat).gens
         assert _polarized_columns(chain) == sorted(zip(*canon))
 
 
@@ -187,7 +187,7 @@ def test_equalize_degrees_two_chain_example():
     anti = [lam.index_of(g.gens[0]), lam.index_of(g.gens[1])]
     w2 = equalize_degrees(w, anti)
     real = realize(w2)
-    degs = {real.labeling[a].degree() for a in anti}
+    degs = {real.gens[a].degree() for a in anti}
     assert len(degs) == 1 and degs.pop() == 2
 
 
@@ -208,7 +208,7 @@ def test_equalize_on_boolean_atoms():
     b3 = boolean_semilattice(3)
     w = equalize_degrees(canonical_weighting(b3), list(b3.atoms))
     real = realize(w)
-    assert len({real.labeling[a].degree() for a in b3.atoms}) == 1
+    assert len({real.gens[a].degree() for a in b3.atoms}) == 1
 
 
 def test_single_degree_pair(rng):

@@ -18,7 +18,7 @@ from lcmlat import (
 from lcmlat import sdepth as sdepth_module
 from lcmlat.config import Config
 
-from oracles import box_points, brute_sdepth_pair, first_found_witness
+from oracles import box_points, brute_sdepth_pair, first_found_witness, polarized_hilbert_cap
 
 
 def _gens(names, *monos):
@@ -160,12 +160,33 @@ def _random_squarefree_pairs(rng, count):
 
 
 def test_hilbert_cap_never_below_sdepth(rng):
+    from conftest import random_ideal, random_proper_pair
+
+    pairs = _random_squarefree_pairs(rng, 60)
+    for _ in range(40):
+        gens = random_ideal(rng, max_vars=3, max_gens=4, max_exp=2).minimalize()
+        pairs += [ideal_pair(gens), quotient_ring_pair(gens),
+                  random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=2)]
     kinds = set()
-    for pair in _random_squarefree_pairs(rng, 60):
+    for pair in pairs:
         pos = characteristic_poset(pair)
         assert sdepth_module._hilbert_cap(pos) >= brute_sdepth_pair(pair)
-        kinds.add(0 in pos.ceiling)
-    assert kinds == {True, False}
+        kinds.add((0 in pos.ceiling, max(pos.ceiling) > 1))
+    assert kinds == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_hilbert_cap_matches_polarized_oracle(rng):
+    from conftest import random_ideal, random_proper_pair
+
+    shapes = set()
+    for _ in range(40):
+        gens = random_ideal(rng, max_vars=3, max_gens=4, max_exp=3).minimalize()
+        for pair in (ideal_pair(gens), quotient_ring_pair(gens),
+                     random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=3)):
+            pos = characteristic_poset(pair)
+            assert sdepth_module._hilbert_cap(pos) == polarized_hilbert_cap(pair)
+            shapes.add(max(pos.ceiling) > 1)
+    assert shapes == {True, False}
 
 
 def test_hilbert_cap_values():
@@ -173,8 +194,11 @@ def test_hilbert_cap_values():
     cap = sdepth_module._hilbert_cap
     assert cap(characteristic_poset(ideal_pair(_variables_ideal(2)))) == 1
     assert cap(characteristic_poset(ideal_pair(_variables_ideal(3)))) == 2
-    # not squarefree: no bound beyond the variable count
-    assert cap(characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2", "y")))) == 2
+    # not squarefree, through the polarization (x1*x2, y): f = (0, 1, 3, 1)
+    # allows depth 2 of 3, so 2 - 3 + 2 = 1, the sdepth of (x^2, y)
+    assert cap(characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2", "y")))) == 1
+    # a principal ideal keeps the full depth on any box
+    assert cap(characteristic_poset(ideal_pair(_gens(("x", "y"), "x^3")))) == 2
     # a zero-capped spectator counts in full: (x) in k[x, y] has depth 2
     assert cap(characteristic_poset(ideal_pair(_gens(("x", "y"), "x")))) == 2
 
@@ -222,7 +246,7 @@ def test_witness_of_four_atom_lattice_is_frozen():
     from lcmlat.lattice import family_semilattice
 
     lat = family_semilattice([0x1, 0x2, 0x3, 0x4, 0x5, 0x7, 0x8, 0xA, 0xB, 0xC, 0xF])
-    rep = sdepth_solve(ideal_pair(canonical_realization(lat).gens))
+    rep = sdepth_solve(ideal_pair(canonical_realization(lat)))
     assert rep.to_json() == {
         "sdepth": 4, "spdim": 1, "g": [1, 1, 1, 1, 1], "poset_size": 19,
         "witness": [
