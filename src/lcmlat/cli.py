@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .config import Config
+from .config import PRIME_BOUND, Config
 from .errors import InternalError, InvalidInput, LcmlatError, LimitExceeded
 from . import classify as _classify
 from . import lattice as _lattice
@@ -41,7 +41,7 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past int()'s digit limit
         raise InvalidInput(f"{path} is not JSON: {exc}")
 
 
@@ -79,17 +79,16 @@ def _emit(args, doc):
 
 
 def _config(args) -> Config:
-    cfg = Config()
-    field = getattr(args, "field", None)
-    if field:
-        prime = re.fullmatch(r"GF:([0-9]+)|GF\(([0-9]+)\)", field)
-        if field != "Q" and not prime:
-            raise InvalidInput(f"cannot parse field {field!r}")
-        cfg.field = ("GF", int(prime[1] or prime[2])) if prime else "Q"
-        cfg.validate_field()
-    if getattr(args, "long_run", False):
-        cfg.long_run = True
-    return cfg
+    field = getattr(args, "field", None) or "Q"
+    prime = re.fullmatch(r"GF:([0-9]+)|GF\(([0-9]+)\)", field)
+    if field != "Q" and not prime:
+        raise InvalidInput(f"cannot parse field {field!r}")
+    if prime:
+        try:
+            field = ("GF", int(prime[1] or prime[2]))
+        except ValueError:  # more digits than int() converts
+            raise InvalidInput(f"a field modulus must be below {PRIME_BOUND}") from None
+    return Config(field=field, long_run=getattr(args, "long_run", False))
 
 
 def _pair_from(doc, module):
@@ -232,10 +231,9 @@ def _cmd_restrict(args):
 
 
 def _cmd_inflate(args):
-    cfg = _config(args)
     obj = _obj_from(_load(args.input))
     m = _mono.parse_monomial(args.element, obj.variables)
-    _emit(args, _obj_to_json(_mono.inflate(obj, m, cfg)))
+    _emit(args, _obj_to_json(_mono.inflate(obj, m)))
 
 
 def _cmd_deform(args):
@@ -255,11 +253,9 @@ def _cmd_isomorphic(args):
     cfg = _config(args)
     la = _lattice_of(_load(args.a), cfg)
     lb = _lattice_of(_load(args.b), cfg)
-    _emit(args, {
-        "isomorphic": _lattice.is_isomorphic(la, lb, cfg),
-        "canonical_a": _lattice.canonical_form(la, cfg).decode(),
-        "canonical_b": _lattice.canonical_form(lb, cfg).decode(),
-    })
+    ca = _lattice.canonical_form(la, cfg)
+    cb = _lattice.canonical_form(lb, cfg)
+    _emit(args, {"isomorphic": ca == cb, "canonical_a": ca.decode(), "canonical_b": cb.decode()})
 
 
 def _cmd_classify(args):

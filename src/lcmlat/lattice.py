@@ -228,11 +228,9 @@ class Semilattice:
 
     @cached_property
     def is_atomistic(self):
-        for x, low in enumerate(self.lower_masks):
-            below = [a for a in self.atoms if low >> a & 1]
-            if self.join_of(below) != x:
-                return False
-        return True
+        # x lies above y, the join of the atoms below x, and both have the same
+        # atoms below them: so x = y for every x exactly when no atom set repeats
+        return len(set(self.atom_sets)) == self.n
 
     @cached_property
     def heights(self):

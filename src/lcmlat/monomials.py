@@ -122,7 +122,10 @@ def parse_monomial(text, variables) -> Monomial:
         name, power = m.group(1), m.group(2)
         if name not in index:
             raise InvalidInput(f"unknown variable {name!r}")
-        exps[index[name]] += int(power) if power else 1
+        try:
+            exps[index[name]] += int(power) if power else 1
+        except ValueError:  # more digits than int() converts
+            raise InvalidInput(f"the exponent of {name!r} is too long") from None
     return Monomial(exps)
 
 
@@ -170,6 +173,13 @@ class GeneratorSet:
 
     def lcm(self) -> Monomial:
         return reduce(Monomial.lcm, self.gens, Monomial.one(self.nvars))
+
+    def is_lattice_element(self, m) -> bool:
+        """m is in the lcm-semilattice: it is the lcm of the generators dividing it."""
+        if len(m) != self.nvars:
+            raise InvalidInput("the monomial lives in the wrong ambient")
+        below = [g for g in self.gens if g.divides(m)]
+        return bool(below) and reduce(Monomial.lcm, below) == tuple(m)
 
     def gcd_of_gens(self) -> Monomial:
         if not self.gens:
@@ -444,19 +454,18 @@ def _fresh_name(variables, base="Y"):
     return f"{base}{t}"
 
 
-def inflate(obj, m: Monomial, config: Config = DEFAULT):
+def inflate(obj, m: Monomial):
     """Multiply every generator not dividing m by one fresh variable.
 
     Requires squarefree generators; m must be an element of the joint
     lcm-semilattice.  Stanley projective dimension is preserved.
     """
     if not isinstance(obj, QuotientPair):
-        return inflate(ideal_pair(obj), m, config).i
+        return inflate(ideal_pair(obj), m).i
     union = union_generators(obj)
     if not union.is_squarefree_raw():
         raise NotSquarefree("inflate is defined for squarefree generators")
-    lcmlat = lcm_semilattice(union, config)
-    if lcmlat.index_of(m) is None:
+    if not union.is_lattice_element(m):
         raise InvalidInput("inflate target is not an lcm of generators")
     fresh = _fresh_name(obj.variables)
     names = list(obj.variables) + [fresh]

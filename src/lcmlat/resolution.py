@@ -95,10 +95,8 @@ class BettiTable:
 def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
     """Betti numbers, projective dimension and depth of I/J."""
     pair.require_proper()
-    config.validate_field()
-    iset = set(pair.i.gens)
     jset = set(pair.j.gens)
-    verts = list(pair.i.gens) + [g for g in pair.j.gens if g not in iset]
+    verts = union_generators(pair).gens
     nvars = pair.i.nvars
     n = len(verts)
     if 1 << n > config.subset_cap:
@@ -178,8 +176,9 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     delta = JoinMap(src.lattice, tgt.lattice, image)
     if not delta.is_surjective:
         raise NotSurjective("the joint-lattice map must be onto")
-    sub_src = _sublattice_indices(src, pair_a.j, config)
-    sub_tgt = _sublattice_indices(tgt, pair_b.j, config)
+    # the elements of L(J), which lies inside the joint lattice
+    sub_src = {i for i, m in enumerate(src.monomials) if pair_a.j.is_lattice_element(m)}
+    sub_tgt = {i for i, m in enumerate(tgt.monomials) if pair_b.j.is_lattice_element(m)}
     if {delta.image[s] for s in sub_src} != sub_tgt:
         raise InvalidInput("the map must carry the denominator lattice onto its twin")
 
@@ -193,13 +192,3 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     sb = sdepth_solve(pair_b, config)
     spdim_ok = sa.spdim == sb.spdim if bij else sa.spdim >= sb.spdim
     return MapCheck(bij, ba.pdim, bb.pdim, pdim_ok, sa.spdim, sb.spdim, spdim_ok)
-
-
-def _sublattice_indices(lcmlat, denom, config):
-    """Indices of the joint-lattice elements generated by the denominator's gens."""
-    if not denom.gens:
-        return set()
-    out = {lcmlat.index_of(m) for m in lcm_semilattice(denom, config).monomials}
-    if None in out:
-        raise InternalError("a denominator lcm is missing from the joint lattice")
-    return out

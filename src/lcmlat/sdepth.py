@@ -32,6 +32,7 @@ level from the highest down, lowest index first.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, product
 from math import inf
 from operator import eq
@@ -57,6 +58,11 @@ class CharacteristicPoset:
     def ceiling_count(self, point):
         """Coordinates pinned to the box top; zero-capped variables count."""
         return sum(map(eq, point, self.ceiling))
+
+    @cached_property
+    def ceiling_counts(self):
+        """The ceiling count of each point, in point order."""
+        return tuple(map(self.ceiling_count, self.points))
 
 
 def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> CharacteristicPoset:
@@ -217,8 +223,8 @@ def _hilbert_cap(poset):
     n = len(poset.ceiling)
     total = sum(poset.ceiling)
     rows = [[0] * (total + 1) for _ in range(n + 1)]
-    for p in poset.points:
-        rows[poset.ceiling_count(p)][sum(p)] += 1
+    for p, r in zip(poset.points, poset.ceiling_counts):
+        rows[r][sum(p)] += 1
     h = [0] * (total + 1)
     for r, row in enumerate(rows):
         for _ in range(n - r):
@@ -260,8 +266,8 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> Sd
     n = poset.size
     nvars = len(poset.variables)
     level = [0] * (nvars + 1)
-    for i, p in enumerate(pts):
-        level[poset.ceiling_count(p)] |= 1 << i
+    for i, r in enumerate(poset.ceiling_counts):
+        level[r] |= 1 << i
     up, down = _interval_masks(pts)
     full = (1 << n) - 1
 

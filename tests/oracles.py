@@ -386,3 +386,26 @@ def associated_primes(gens):
 def max_ass_height(gens):
     primes = associated_primes(gens)
     return max((len(p) for p in primes), default=0)
+
+
+def isomorphic_by_search(leq_a, leq_b):
+    """Some bijection carries the order leq_a onto leq_b; every one is tried."""
+    n = len(leq_a)
+    if n != len(leq_b):
+        return False
+    return any(
+        all(leq_a[i][j] == leq_b[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )
+
+
+def is_atomistic_by_definition(leq):
+    """Each element is the least common upper bound of the minimal elements below it."""
+    n = len(leq)
+    atoms = [a for a in range(n) if not any(leq[b][a] for b in range(n) if b != a)]
+    for x in range(n):
+        below = [a for a in atoms if leq[a][x]]
+        ups = [u for u in range(n) if all(leq[a][u] for a in below)]
+        if not all(leq[x][u] for u in ups):
+            return False
+    return True

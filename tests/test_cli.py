@@ -172,6 +172,77 @@ def test_equalize_golden_stdout(tmp_path, capsys, doc, extra, want):
     assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
+_XYZ = ["x", "y", "z"]
+PAIR_EXP = {"I": {"variables": _XYZ, "generators": [[2, 0, 0], [1, 1, 0], [0, 2, 1]]},
+            "J": {"variables": _XYZ, "generators": [[2, 1, 0], [1, 1, 1]]}}
+PAIR_SQ = {"I": {"variables": _XYZ, "generators": [[1, 0, 0], [0, 1, 1]]},
+           "J": {"variables": _XYZ, "generators": [[1, 1, 0], [1, 0, 1]]}}
+# one shift row per generator of I then of J (union_generators order)
+_PAIR_SHIFTS = [[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+
+
+def _pair_doc(i_gens, j_gens, variables=_XYZ):
+    return {"I": {"generators": i_gens, "variables": variables},
+            "J": {"generators": j_gens, "variables": variables}}
+
+
+# the pair branch of every subcommand that takes an ideal or a pair and
+# writes one back, stdout pinned byte for byte
+_PAIR_GOLDEN = {
+    "lattice": (
+        ["lattice"], PAIR_EXP,
+        {"covers": [[0, 3], [0, 4], [1, 4], [2, 5], [3, 5], [3, 6], [4, 6], [5, 7], [6, 7]],
+         "elements": ["x*y", "x^2", "y^2*z", "x*y*z", "x^2*y", "x*y^2*z", "x^2*y*z",
+                      "x^2*y^2*z"]},
+    ),
+    "polarize": (
+        ["polarize"], PAIR_EXP,
+        _pair_doc([[1, 0, 1, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1]],
+                  [[1, 0, 1, 0, 1], [1, 1, 1, 0, 0]], ["x1", "x2", "y1", "y2", "z1"]),
+    ),
+    "radical": (["radical"], PAIR_EXP, _pair_doc([[1, 0, 0], [0, 1, 1]], [[1, 1, 0]])),
+    "colon": (
+        ["colon", "--by", "x"], PAIR_EXP,
+        _pair_doc([[0, 1, 0], [1, 0, 0]], [[0, 1, 1], [1, 1, 0]]),
+    ),
+    "restrict": (
+        ["restrict", "--var", "z"], PAIR_EXP,
+        _pair_doc([[0, 2], [1, 1], [2, 0]], [[1, 1]], ["x", "y"]),
+    ),
+    "deform": (
+        ["deform", "--shifts", "{shifts}"], PAIR_EXP,
+        _pair_doc([[3, 0, 0], [1, 1, 0], [0, 2, 2]], [[2, 1, 0], [1, 1, 1]]),
+    ),
+    "inflate x*y": (
+        ["inflate", "--element", "x*y"], PAIR_SQ,
+        _pair_doc([[1, 0, 0, 0], [0, 1, 1, 1]], [[1, 1, 0, 0], [1, 0, 1, 1]],
+                  _XYZ + ["Y"]),
+    ),
+    "inflate y*z": (
+        ["inflate", "--element", "y*z"], PAIR_SQ,
+        _pair_doc([[1, 0, 0, 1], [0, 1, 1, 0]], [[1, 1, 0, 1], [1, 0, 1, 1]],
+                  _XYZ + ["Y"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, doc, want", _PAIR_GOLDEN.values(), ids=_PAIR_GOLDEN)
+def test_pair_golden_stdout(tmp_path, capsys, argv, doc, want):
+    paths = {"{shifts}": _write(tmp_path, "shifts.json", _PAIR_SHIFTS)}
+    src = _write(tmp_path, "pair.json", doc)
+    code, out, err = _run([argv[0], src, *(paths.get(a, a) for a in argv[1:])], capsys)
+    assert code == 0, err
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("element", ["y", "x*y*z*z", "1"])
+def test_inflate_pair_rejects_a_non_element(tmp_path, capsys, element):
+    src = _write(tmp_path, "pair.json", PAIR_SQ)
+    code, out, err = _run(["inflate", src, "--element", element], capsys)
+    assert code == 1
+    assert out == "" and "not an lcm of generators" in err
+
+
 def test_sdepth_both_modules(tmp_path, capsys):
     src = _write(tmp_path, "i.json", TWO_VARS)
     code, out, _ = _run(["sdepth", src], capsys)
@@ -213,6 +284,35 @@ def test_field_option(tmp_path, capsys):
         assert code == 1 and "cannot parse field" in err, bad
     code, _, err = _run(["betti", src, "--field", "GF:4"], capsys)
     assert code == 1 and "prime" in err
+
+
+@pytest.mark.parametrize("p", [561, 2047, 3215031751, 318665857834031151167461])
+def test_field_rejects_pseudoprimes(tmp_path, capsys, p):
+    # a Carmichael number, strong pseudoprimes to base 2 and to bases 2..7,
+    # and one to every prime base up to 37
+    src = _write(tmp_path, "i.json", TRIANGLE)
+    code, out, err = _run(["betti", src, "--field", f"GF:{p}"], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "prime" in err
+
+
+def test_field_large_prime_is_fast(tmp_path, capsys):
+    import time
+
+    src = _write(tmp_path, "i.json", TRIANGLE)
+    start = time.perf_counter()
+    code, out, err = _run(["betti", src, "--field", "GF:1000000000000000003"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["field"] == "GF(1000000000000000003)"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("digits", [25, 5000])
+def test_field_modulus_past_the_bound_exits_1(tmp_path, capsys, digits):
+    src = _write(tmp_path, "i.json", TRIANGLE)
+    code, out, err = _run(["betti", src, "--field", "GF:" + "9" * digits], capsys)
+    assert code == 1
+    assert out == "" and err == "error: a field modulus must be below 3317044064679887385961981\n"
 
 
 def test_field_only_where_it_is_read(tmp_path, capsys):
@@ -327,6 +427,11 @@ _MALFORMED_NUMBERS = {
     "antichain on a pair": (json.dumps(PAIR), ["equalize", "{doc}", "--antichain", "0,1"]),
     "image ab": ('{"image": "ab"}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
     "image 5": ('{"image": 5}', ["check-map", "{ideal}", "{ideal}", "{doc}"]),
+    # integers longer than int() converts, in a document and in monomial options
+    "exponent of 5000 digits": ('{"variables": ["x"], "generators": [[%s]]}' % ("9" * 5000),
+                                ["weights", "{doc}"]),
+    "colon by 5000 digits": ("{}", ["colon", "{ideal}", "--by", "x^" + "9" * 5000]),
+    "inflate at 5000 digits": ("{}", ["inflate", "{ideal}", "--element", "x^" + "9" * 5000]),
 }
 
 

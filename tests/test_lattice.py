@@ -31,10 +31,14 @@ from lcmlat import (
     structure_report,
 )
 
+from lcmlat.lattice import family_semilattice
+
 from oracles import (
     closure_by_search,
     covers_by_definition,
     divisibility_matrix,
+    is_atomistic_by_definition,
+    isomorphic_by_search,
     joins_by_definition,
 )
 
@@ -63,6 +67,38 @@ def test_join_table_checked():
     bad[0][1] = 0  # {1} v {2} must be the top
     with pytest.raises((NotASemilattice, InvalidInput)):
         Semilattice.from_join_table(list(b2.labels), bad)
+
+
+def test_from_join_table_rebuilds_every_census_class():
+    from lcmlat import enumerate_atomistic
+
+    classes = 0
+    for _, lat in enumerate_atomistic(4):
+        built = Semilattice.from_join_table(list(lat.labels), lat.join)
+        assert built.upper_masks == lat.upper_masks and built.join == lat.join
+        classes += 1
+    assert classes == 50  # the classes of the 4-atom census golden
+
+
+def test_from_join_table_rejects_each_bad_table():
+    b2 = boolean_semilattice(2)
+    with pytest.raises(InvalidInput, match="shape"):
+        Semilattice.from_join_table(list(b2.labels), b2.join[:2])
+    with pytest.raises(InvalidInput, match="shape"):
+        Semilattice.from_join_table(list(b2.labels), [row[:2] for row in b2.join])
+    loose = [list(row) for row in b2.join]
+    loose[0][0] = 2  # {1} v {1} = {1,2}, still symmetric
+    with pytest.raises(InvalidInput, match="idempotent"):
+        Semilattice.from_join_table(list(b2.labels), loose)
+    # a v b = b and b v c = c say a <= b <= c, but a v c = b says neither a <= c nor c <= a
+    with pytest.raises(InvalidInput, match="transitive"):
+        Semilattice.from_join_table(list("abc"), [[0, 1, 1], [1, 1, 2], [1, 2, 2]])
+    b3 = boolean_semilattice(3)
+    wrong = [list(row) for row in b3.join]
+    a, b, top = b3.atoms[0], b3.atoms[1], b3.top
+    wrong[a][b] = wrong[b][a] = top  # the order it induces stays that of B3
+    with pytest.raises(NotASemilattice):
+        Semilattice.from_join_table(list(b3.labels), wrong)
 
 
 def test_from_leq_rejects_non_orders():
@@ -274,6 +310,24 @@ def test_atom_sets_and_atomistic():
     assert not chain.is_atomistic
 
 
+def test_atomistic_matches_definition(rng):
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        ground = rng.randint(1, 4)
+        family = {rng.randrange(1, 1 << ground) for _ in range(rng.randint(1, 8))}
+        closed = set(family)
+        while True:
+            more = {a | b for a in closed for b in closed} - closed
+            if not more:
+                break
+            closed |= more
+        lat = family_semilattice(closed)
+        verdict = is_atomistic_by_definition(lat.leq.tolist())
+        assert lat.is_atomistic == verdict
+        seen[verdict] += 1
+    assert min(seen.values()) > 50
+
+
 def test_collapse_merges_meet_irreducible():
     b2 = boolean_semilattice(2)
     a = b2.meet_irreducibles[0]
@@ -401,6 +455,63 @@ def test_canonical_form_collapsed(perm, which):
     b3 = boolean_semilattice(3)
     lat, _ = collapse(b3, b3.meet_irreducibles[which])
     assert canonical_form(_relabel(lat, list(perm))) == canonical_form(lat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(list(range(8))))
+def test_canonical_form_general_path_with_bottom(perm):
+    # B3 with an empty set below: one atom, so not atomistic, and the general
+    # canonizer permutes two colour classes of three (the singletons and the pairs)
+    lat = family_semilattice(range(8))
+    assert not lat.is_atomistic
+    key = canonical_form(lat)
+    assert key.startswith(b"P8;")
+    assert canonical_form(_relabel(lat, list(perm))) == key
+
+
+# union-closed and not atomistic: 0111, 1011 and 1101 share their counts of
+# elements below and above; one refinement round splits off 1101 and leaves
+# 0111 and 1011 a class of two
+_REFINED_FAMILY = (0b0011, 0b0111, 0b1011, 0b1100, 0b1101, 0b1111)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(list(range(6))))
+def test_canonical_form_after_refinement(perm):
+    from lcmlat.lattice import _groups, _refined_colors
+
+    lat = family_semilattice(_REFINED_FAMILY)
+    assert not lat.is_atomistic
+    assert sorted(map(len, _groups(_refined_colors(lat)).values())) == [1, 1, 1, 1, 2]
+    key = canonical_form(lat)
+    assert key.startswith(b"P6;")
+    assert canonical_form(_relabel(lat, list(perm))) == key
+
+
+def _random_semilattice(rng, n):
+    while True:
+        hidden = list(range(n))
+        rng.shuffle(hidden)
+        pairs = [(hidden[i], hidden[j]) for i in range(n) for j in range(i + 1, n)
+                 if j == n - 1 or rng.random() < 0.4]
+        try:
+            return Semilattice.from_relations([str(i) for i in range(n)], pairs)
+        except NotASemilattice:
+            continue
+
+
+def test_is_isomorphic_matches_search(rng):
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        a = _random_semilattice(rng, rng.randint(1, 7))
+        perm = list(range(a.n))
+        rng.shuffle(perm)
+        b = _relabel(a, perm) if rng.random() < 0.3 else _random_semilattice(rng, a.n)
+        verdict = isomorphic_by_search(a.leq.tolist(), b.leq.tolist())
+        assert is_isomorphic(a, b) == verdict
+        assert (canonical_form(a) == canonical_form(b)) == verdict
+        seen[verdict] += 1
+    assert min(seen.values()) > 30
 
 
 def test_isomorphism_distinguishes():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,6 +412,40 @@ def test_inflate_requires_squarefree_and_lattice_element():
     sq = ideal_pair(gens(("x", "y"), "x", "y"))
     with pytest.raises(InvalidInput):
         inflate(sq, parse_monomial("x^2", ("x", "y")))
+
+
+def test_lattice_element_matches_the_closure(rng):
+    from conftest import random_ideal
+
+    for _ in range(40):
+        g = random_ideal(rng)
+        monos = set(lcm_semilattice(g).monomials)
+        box = [range(e + 1) for e in g.lcm()]
+        for m in map(Monomial, product(*box)):
+            assert g.is_lattice_element(m) == (m in monos)
+
+
+def test_lattice_element_needs_the_ambient():
+    g = gens(("x", "y"), "x", "y")
+    assert g.is_lattice_element((1, 1)) and not g.is_lattice_element((0, 0))
+    with pytest.raises(InvalidInput):
+        g.is_lattice_element(Monomial((1, 1, 0)))
+    with pytest.raises(InvalidInput):
+        inflate(ideal_pair(g), Monomial((1,)))
+
+
+def test_inflate_past_the_element_cap():
+    # 13 generators a_i*b_i span 2^13 - 1 lcms, more than the element cap;
+    # membership is decided without building that closure
+    names = [f"{c}{i}" for i in range(13) for c in "ab"]
+    g = GeneratorSet(names, [Monomial([1 if j // 2 == i else 0 for j in range(26)])
+                             for i in range(13)])
+    m = Monomial([1] * 4 + [0] * 22)  # a0*b0*a1*b1
+    out = inflate(g, m)
+    assert out.variables == tuple(names) + ("Y",)
+    assert [h[-1] for h in out.gens] == [0, 0] + [1] * 11
+    with pytest.raises(InvalidInput):
+        inflate(g, Monomial([1] * 3 + [0] * 23))
 
 
 def test_deform_examples():

@@ -352,6 +352,20 @@ def test_invariance_rejects_denominator_mismatch():
         pdim_pair_invariance(pair_a, pair_b, image)
 
 
+def test_config_checks_its_field_when_built():
+    from dataclasses import FrozenInstanceError
+
+    from lcmlat.config import DEFAULT
+
+    for bad in (("GF", 4), ("GF", 1), ("GF", "7"), ("GF", 7, 1), "R", ["GF", 7]):
+        with pytest.raises(InvalidInput):
+            Config(field=bad)
+    assert Config(field=("GF", 7)).field_label() == "GF(7)"
+    with pytest.raises(FrozenInstanceError):
+        DEFAULT.field = ("GF", 4)
+    assert DEFAULT.field == "Q"
+
+
 def test_field_choice_mod_p():
     cfg = Config(field=("GF", 2))
     gens = _gens(("x", "y", "z"), "x*y", "x*z", "y*z")
