@@ -8,6 +8,7 @@ fixed input.
 """
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -46,7 +47,10 @@ def _load(path):
 
 
 def _create(path):
-    """A file opened for writing; a path that cannot be written is bad input."""
+    """A file opened for writing, or stdout (left open) when there is no path;
+    a path that cannot be written is bad input."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w")
     except OSError as exc:
@@ -69,13 +73,63 @@ def _kind(doc):
     raise InvalidInput("unrecognized document shape")
 
 
-def _emit(args, doc):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with _create(args.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _image_from_json(doc):
+    if _kind(doc) != "map":
+        raise InvalidInput("the map document needs an 'image' list")
+    return _lattice.json_ints(doc["image"], "the map image")
+
+
+def _shifts_from_json(doc):
+    if not isinstance(doc, list):
+        raise InvalidInput("shift document must be a list of exponent shifts")
+    return doc
+
+
+# the parser of each document kind, called with the document and the Config
+_PARSERS = {
+    "ideal": lambda doc, cfg: _mono.gens_from_json(doc),
+    "pair": lambda doc, cfg: _mono.pair_from_json(doc),
+    "lattice": _lattice.lattice_from_json,
+    "weighting": _mono.weighting_from_json,
+    "map": lambda doc, cfg: _image_from_json(doc),
+    "shifts": lambda doc, cfg: _shifts_from_json(doc),
+}
+
+
+def _read(path, cfg, *kinds):
+    """The document at path parsed as one of kinds.  Its kind is looked up
+    only when there is a choice; a single kind is left to its parser."""
+    doc = _load(path)
+    kind = _kind(doc) if len(kinds) > 1 else kinds[0]
+    if kind not in kinds:
+        raise InvalidInput(f"expected {' or '.join(kinds)} document, got {kind}")
+    return _PARSERS[kind](doc, cfg)
+
+
+def _pair_of(obj, module=None):
+    """A pair as given; an ideal, minimalized, as I (the default) or as S/I."""
+    if isinstance(obj, _mono.QuotientPair):
+        if module:
+            raise InvalidInput("--module applies to ideal documents only")
+        return obj
+    if module == "quotient-ring":
+        return _mono.quotient_ring_pair(obj.minimalize())
+    return _mono.ideal_pair(obj.minimalize())
+
+
+def _lattice_of(path, cfg):
+    """A lattice document's lattice, or the lcm-lattice of an ideal or a pair."""
+    obj = _read(path, cfg, "lattice", "ideal", "pair")
+    if isinstance(obj, _lattice.Semilattice):
+        return obj
+    if isinstance(obj, _mono.QuotientPair):
+        obj = _mono.union_generators(obj)
+    return _mono.lcm_semilattice(obj, cfg).lattice
+
+
+def _emit(out, doc):
+    with _create(out) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _config(args) -> Config:
@@ -91,177 +145,96 @@ def _config(args) -> Config:
     return Config(field=field, long_run=getattr(args, "long_run", False))
 
 
-def _pair_from(doc, module):
-    """A quotient pair from an ideal or pair document plus the module choice."""
-    kind = _kind(doc)
-    if kind == "pair":
-        return _mono.pair_from_json(doc)
-    if kind != "ideal":
-        raise InvalidInput("need an ideal or quotient document")
-    gens = _mono.gens_from_json(doc).minimalize()
-    if module == "quotient-ring":
-        return _mono.quotient_ring_pair(gens)
-    return _mono.ideal_pair(gens)
-
-
-def _obj_from(doc):
-    kind = _kind(doc)
-    if kind == "pair":
-        return _mono.pair_from_json(doc)
-    if kind == "ideal":
-        return _mono.gens_from_json(doc)
-    raise InvalidInput("need an ideal or quotient document")
-
-
-def _obj_to_json(obj):
-    if isinstance(obj, _mono.QuotientPair):
-        return _mono.pair_to_json(obj)
-    return _mono.gens_to_json(obj)
-
-
-def _lattice_of(doc, cfg):
-    kind = _kind(doc)
-    if kind == "lattice":
-        return _lattice.lattice_from_json(doc, cfg)
-    if kind == "ideal":
-        return _mono.lcm_semilattice(_mono.gens_from_json(doc), cfg).lattice
-    if kind == "pair":
-        pair = _mono.pair_from_json(doc)
-        return _mono.lcm_semilattice(_mono.union_generators(pair), cfg).lattice
-    raise InvalidInput("need a lattice, ideal, or quotient document")
-
-
-def _cmd_lattice(args):
-    cfg = _config(args)
-    lat = _lattice_of(_load(args.input), cfg)
+def _cmd_lattice(args, cfg):
+    lat = _lattice_of(args.input, cfg)
     if args.dot:
         with _create(args.dot) as fh:
             fh.write(_lattice.lattice_to_dot(lat))
-    _emit(args, _lattice.lattice_to_json(lat))
+    return _lattice.lattice_to_json(lat)
 
 
-def _cmd_weights(args):
-    cfg = _config(args)
-    gens = _mono.gens_from_json(_load(args.input))
-    w = _mono.weight_map(gens, cfg)
-    _emit(args, _mono.weighting_to_json(w))
+def _cmd_weights(args, cfg):
+    return _mono.weighting_to_json(_mono.weight_map(_read(args.input, cfg, "ideal"), cfg))
 
 
-def _cmd_realize(args):
-    cfg = _config(args)
-    w = _mono.weighting_from_json(_load(args.input), cfg)
-    gens = _do_realize(w, cfg)
-    _emit(args, _mono.gens_to_json(gens.minimalize() if args.minimal else gens))
+def _cmd_realize(args, cfg):
+    gens = _do_realize(_read(args.input, cfg, "weighting"), cfg)
+    return _mono.gens_to_json(gens.minimalize() if args.minimal else gens)
 
 
-def _cmd_canonical(args):
-    cfg = _config(args)
-    lat = _lattice_of(_load(args.input), cfg)
-    gens = _canonical_realization(lat, cfg)
-    _emit(args, _mono.gens_to_json(gens.minimalize() if args.minimal else gens))
+def _cmd_canonical(args, cfg):
+    gens = _canonical_realization(_lattice_of(args.input, cfg), cfg)
+    return _mono.gens_to_json(gens.minimalize() if args.minimal else gens)
 
 
-def _cmd_equalize(args):
-    cfg = _config(args)
-    doc = _load(args.input)
-    if _kind(doc) == "lattice":
-        if not args.antichain:
-            raise InvalidInput("a lattice input needs --antichain")
-        lat = _lattice.lattice_from_json(doc, cfg)
-        try:
-            ids = [int(t) for t in args.antichain.split(",")]
-        except ValueError:
-            raise InvalidInput(f"--antichain wants comma-separated indices: {args.antichain!r}")
-        w = _equalize_degrees(_canonical_weighting(lat), ids)
-        _emit(args, _mono.weighting_to_json(w))
-        return
-    if args.antichain:
-        raise InvalidInput("--antichain applies to lattice documents only")
-    pair = _pair_from(doc, "ideal")
-    out = _single_degree_pair(pair, cfg)
-    _emit(args, _mono.pair_to_json(out))
-
-
-def _cmd_sdepth(args):
-    cfg = _config(args)
-    pair = _pair_from(_load(args.input), args.module)
-    _emit(args, _sdepth.sdepth_solve(pair, cfg).to_json())
-
-
-def _cmd_betti(args):
-    cfg = _config(args)
-    pair = _pair_from(_load(args.input), args.module).minimalize()
-    _emit(args, _resolution.taylor_betti(pair, cfg).to_json())
-
-
-def _cmd_pdim(args):
-    cfg = _config(args)
-    pair = _pair_from(_load(args.input), args.module).minimalize()
-    table = _resolution.taylor_betti(pair, cfg)
-    _emit(args, {"pdim": table.pdim, "depth": table.depth, "field": table.field})
-
-
-def _cmd_polarize(args):
-    obj = _obj_from(_load(args.input))
-    _emit(args, _obj_to_json(_mono.polarize(obj)))
-
-
-def _cmd_radical(args):
-    obj = _obj_from(_load(args.input))
-    _emit(args, _obj_to_json(_mono.radical(obj)))
-
-
-def _cmd_colon(args):
-    obj = _obj_from(_load(args.input))
-    by = _mono.parse_monomial(args.by, obj.variables)
-    _emit(args, _obj_to_json(_mono.colon(obj, by)))
-
-
-def _cmd_restrict(args):
-    obj = _obj_from(_load(args.input))
-    variables = obj.variables
-    if args.var in variables:
-        idx = variables.index(args.var)
-    else:
-        try:
-            idx = int(args.var)
-        except ValueError:
-            raise InvalidInput(f"unknown variable {args.var!r}")
-    _emit(args, _obj_to_json(_mono.restrict_variable(obj, idx)))
-
-
-def _cmd_inflate(args):
-    obj = _obj_from(_load(args.input))
-    m = _mono.parse_monomial(args.element, obj.variables)
-    _emit(args, _obj_to_json(_mono.inflate(obj, m)))
-
-
-def _cmd_deform(args):
-    obj = _obj_from(_load(args.input))
-    shifts = _load(args.shifts)
-    if not isinstance(shifts, list):
-        raise InvalidInput("shift document must be a list of exponent shifts")
-    _emit(args, _obj_to_json(_mono.deform(obj, shifts)))
-
-
-def _cmd_generic(args):
-    gens = _mono.gens_from_json(_load(args.input)).minimalize()
-    _emit(args, {"generic": _mono.is_generic(gens)})
-
-
-def _cmd_isomorphic(args):
-    cfg = _config(args)
-    la = _lattice_of(_load(args.a), cfg)
-    lb = _lattice_of(_load(args.b), cfg)
-    ca = _lattice.canonical_form(la, cfg)
-    cb = _lattice.canonical_form(lb, cfg)
-    _emit(args, {"isomorphic": ca == cb, "canonical_a": ca.decode(), "canonical_b": cb.decode()})
-
-
-def _cmd_classify(args):
-    cfg = _config(args)
-    out = _create(args.out) if args.out else sys.stdout
+def _cmd_equalize(args, cfg):
+    obj = _read(args.input, cfg, "lattice", "ideal", "pair")
+    if not isinstance(obj, _lattice.Semilattice):
+        if args.antichain:
+            raise InvalidInput("--antichain applies to lattice documents only")
+        return _mono.pair_to_json(_single_degree_pair(_pair_of(obj), cfg))
+    if not args.antichain:
+        raise InvalidInput("a lattice input needs --antichain")
     try:
+        ids = [int(t) for t in args.antichain.split(",")]
+    except ValueError:
+        raise InvalidInput(f"--antichain wants comma-separated indices: {args.antichain!r}")
+    return _mono.weighting_to_json(_equalize_degrees(_canonical_weighting(obj), ids))
+
+
+def _cmd_invariant(args, cfg):
+    """sdepth, betti and pdim of a pair, or of an ideal read as --module says."""
+    pair = _pair_of(_read(args.input, cfg, "ideal", "pair"), args.module)
+    if args.command == "sdepth":
+        return _sdepth.sdepth_solve(pair, cfg).to_json()
+    table = _resolution.taylor_betti(pair.minimalize(), cfg)
+    if args.command == "betti":
+        return table.to_json()
+    return {"pdim": table.pdim, "depth": table.depth, "field": table.field}
+
+
+def _var_index(obj, var):
+    if var in obj.variables:
+        return obj.variables.index(var)
+    try:
+        return int(var)
+    except ValueError:
+        raise InvalidInput(f"unknown variable {var!r}")
+
+
+# each transform maps an ideal or a pair, with the subcommand's options, to the same kind
+_TRANSFORMS = {
+    "polarize": lambda obj, args, cfg: _mono.polarize(obj),
+    "radical": lambda obj, args, cfg: _mono.radical(obj),
+    "colon": lambda obj, args, cfg: _mono.colon(
+        obj, _mono.parse_monomial(args.by, obj.variables)),
+    "restrict": lambda obj, args, cfg: _mono.restrict_variable(obj, _var_index(obj, args.var)),
+    "inflate": lambda obj, args, cfg: _mono.inflate(
+        obj, _mono.parse_monomial(args.element, obj.variables)),
+    "deform": lambda obj, args, cfg: _mono.deform(obj, _read(args.shifts, cfg, "shifts")),
+}
+
+
+def _cmd_transform(args, cfg):
+    out = _TRANSFORMS[args.command](_read(args.input, cfg, "ideal", "pair"), args, cfg)
+    if isinstance(out, _mono.QuotientPair):
+        return _mono.pair_to_json(out)
+    return _mono.gens_to_json(out)
+
+
+def _cmd_generic(args, cfg):
+    return {"generic": _mono.is_generic(_read(args.input, cfg, "ideal").minimalize())}
+
+
+def _cmd_isomorphic(args, cfg):
+    la, lb = _lattice_of(args.a, cfg), _lattice_of(args.b, cfg)
+    ca, cb = _lattice.canonical_form(la, cfg), _lattice.canonical_form(lb, cfg)
+    return {"isomorphic": ca == cb, "canonical_a": ca.decode(), "canonical_b": cb.decode()}
+
+
+def _cmd_classify(args, cfg):
+    """Writes its own JSON-lines stream and returns no report."""
+    with _create(args.out) as out:
         total = 0
         bad = []
         for record, lat in _classify.census(args.atoms, cfg, check=not args.no_check):
@@ -269,12 +242,8 @@ def _cmd_classify(args):
             total += 1
             if record.get("counterexample"):
                 bad.append((record, lat))
-        summary = {"atoms": args.atoms, "classes": total,
-                   "counterexamples": len(bad)}
+        summary = {"atoms": args.atoms, "classes": total, "counterexamples": len(bad)}
         out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            out.close()
     if bad:
         for record, lat in bad:
             bundle = {
@@ -286,30 +255,17 @@ def _cmd_classify(args):
         raise AssertionError(f"{len(bad)} counterexample(s) found")
 
 
-def _cmd_check_map(args):
-    cfg = _config(args)
-    pa = _pair_from(_load(args.a), "ideal")
-    pb = _pair_from(_load(args.b), "ideal")
-    mdoc = _load(args.map)
-    if _kind(mdoc) != "map":
-        raise InvalidInput("the map document needs an 'image' list")
+def _cmd_check_map(args, cfg):
+    """Emits its report before a failed check exits 3, and returns none."""
+    pa = _pair_of(_read(args.a, cfg, "ideal", "pair"))
+    pb = _pair_of(_read(args.b, cfg, "ideal", "pair"))
     check = _resolution.pdim_pair_invariance(
-        pa, pb, _lattice.json_ints(mdoc["image"], "the map image"), cfg,
-        with_sdepth=args.with_sdepth
+        pa, pb, _read(args.map, cfg, "map"), cfg, with_sdepth=args.with_sdepth
     )
-    doc = {
-        "bijective": check.bijective,
-        "pdim_source": check.pdim_source,
-        "pdim_target": check.pdim_target,
-        "pdim_ok": check.pdim_ok,
-    }
+    keys = ["bijective", "pdim_source", "pdim_target", "pdim_ok"]
     if args.with_sdepth:
-        doc.update({
-            "spdim_source": check.spdim_source,
-            "spdim_target": check.spdim_target,
-            "spdim_ok": check.spdim_ok,
-        })
-    _emit(args, doc)
+        keys += ["spdim_source", "spdim_target", "spdim_ok"]
+    _emit(args.out, {key: getattr(check, key) for key in keys})
     if not check.ok:
         raise AssertionError("a validated surjection must not increase the invariants")
 
@@ -317,6 +273,12 @@ def _cmd_check_map(args):
 def _build_parser():
     top = _Parser(prog="lcmlat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+
+    def count(text):  # argparse reports a ValueError as "invalid count value"
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"a count must be at least 1, got {value}")
+        return value
 
     def cmd(name, fn, help_, inputs=("input",)):
         p = sub.add_parser(name, help=help_)
@@ -335,32 +297,33 @@ def _build_parser():
     p.add_argument("--minimal", action="store_true")
     p = cmd("equalize", _cmd_equalize, "equalize realized degrees on an antichain")
     p.add_argument("--antichain", help="comma-separated element indices (lattice input)")
-    p = cmd("sdepth", _cmd_sdepth, "exact Stanley depth")
-    p.add_argument("--module", choices=["ideal", "quotient-ring"], default="ideal")
-    p = cmd("betti", _cmd_betti, "Betti numbers via the Taylor complex")
-    p.add_argument("--module", choices=["ideal", "quotient-ring"], default="ideal")
-    p = cmd("pdim", _cmd_pdim, "projective dimension and depth")
-    p.add_argument("--module", choices=["ideal", "quotient-ring"], default="ideal")
-    cmd("polarize", _cmd_polarize, "polarization")
-    cmd("radical", _cmd_radical, "radical")
-    p = cmd("colon", _cmd_colon, "colon by a monomial")
+    cmd("sdepth", _cmd_invariant, "exact Stanley depth")
+    cmd("betti", _cmd_invariant, "Betti numbers via the Taylor complex")
+    cmd("pdim", _cmd_invariant, "projective dimension and depth")
+    cmd("polarize", _cmd_transform, "polarization")
+    cmd("radical", _cmd_transform, "radical")
+    p = cmd("colon", _cmd_transform, "colon by a monomial")
     p.add_argument("--by", required=True, help="a monomial like x^2*y")
-    p = cmd("restrict", _cmd_restrict, "set one variable to zero and drop it")
+    p = cmd("restrict", _cmd_transform, "set one variable to zero and drop it")
     p.add_argument("--var", required=True, help="variable name or index")
-    p = cmd("inflate", _cmd_inflate, "stretch generators away from one lattice element")
+    p = cmd("inflate", _cmd_transform, "stretch generators away from one lattice element")
     p.add_argument("--element", required=True, help="a monomial that is an lcm of generators")
-    p = cmd("deform", _cmd_deform, "apply an exponent deformation")
+    p = cmd("deform", _cmd_transform, "apply an exponent deformation")
     p.add_argument("--shifts", required=True, help="JSON file with one shift row per generator")
     cmd("generic", _cmd_generic, "genericity test")
     cmd("isomorphic", _cmd_isomorphic, "compare two lattices up to isomorphism",
         inputs=("a", "b"))
     p = cmd("classify", _cmd_classify, "census of atomistic semilattices", inputs=())
-    p.add_argument("--atoms", type=int, required=True)
+    p.add_argument("--atoms", type=count, required=True)
     p.add_argument("--no-check", action="store_true", help="skip invariants")
     p.add_argument("--long-run", action="store_true", help="allow the largest census")
-    cmd("check-map", _cmd_check_map, "validate a lattice surjection between two pairs",
-        inputs=("a", "b", "map"))
-    sub.choices["check-map"].add_argument("--with-sdepth", action="store_true")
+    p = cmd("check-map", _cmd_check_map, "validate a lattice surjection between two pairs",
+            inputs=("a", "b", "map"))
+    p.add_argument("--with-sdepth", action="store_true")
+    for name in ("sdepth", "betti", "pdim"):
+        sub.choices[name].add_argument(
+            "--module", choices=["ideal", "quotient-ring"],
+            help="read an ideal document as I (the default) or S/I; not for pairs")
     for name in ("betti", "pdim", "classify", "check-map"):
         sub.choices[name].add_argument(
             "--field", help="Q (default), GF:p or GF(p) for a prime p")
@@ -371,7 +334,9 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.fn(args)
+        report = args.fn(args, _config(args))
+        if report is not None:
+            _emit(args.out, report)
     except SystemExit:
         raise
     except LimitExceeded as exc:

@@ -336,8 +336,8 @@ class JoinMap:
         return self.image[x]
 
     def after(self, earlier: "JoinMap") -> "JoinMap":
-        """self o earlier."""
-        if earlier.target is not self.source and earlier.target.n != self.source.n:
+        """self o earlier; earlier's target must be self's source as an order."""
+        if earlier.target.upper_masks != self.source.upper_masks:
             raise InvalidInput("maps do not compose")
         return JoinMap(earlier.source, self.target,
                        [self.image[earlier.image[x]] for x in range(earlier.source.n)])
@@ -584,10 +584,12 @@ def json_ints(values, what):
 
 def lattice_from_json(doc, config: Config = DEFAULT) -> Semilattice:
     try:
-        labels = list(doc["elements"])
+        labels = doc["elements"]
         covers = [(a, b) for a, b in (json_ints(c, "a cover") for c in doc["covers"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad lattice document: {exc}")
+    if not isinstance(labels, (list, tuple)):
+        raise InvalidInput(f"elements must be a list of labels, got {labels!r}")
     return Semilattice.from_relations(labels, covers, config)
 
 

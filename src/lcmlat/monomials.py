@@ -570,7 +570,9 @@ def gens_to_json(gens: GeneratorSet) -> dict:
 def gens_from_json(doc) -> GeneratorSet:
     try:
         gens = [json_ints(g, "a generator") for g in doc["generators"]]
-        return GeneratorSet(list(doc["variables"]), gens)
+        if not isinstance(doc["variables"], (list, tuple)):
+            raise InvalidInput(f"variables must be a list of names, got {doc['variables']!r}")
+        return GeneratorSet(doc["variables"], gens)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"bad ideal document: {exc}")
 
@@ -598,6 +600,8 @@ def weighting_to_json(w: Weighting) -> dict:
 def weighting_from_json(doc, config: Config = DEFAULT) -> Weighting:
     try:
         lat = lattice_from_json(doc["lattice"], config)
+        if not isinstance(doc["variables"], (list, tuple)):
+            raise InvalidInput(f"variables must be a list of names, got {doc['variables']!r}")
         variables = [str(v) for v in doc["variables"]]
         bottom = Monomial(json_ints(doc["bottom"], "the bottom weight"))
         weights = tuple(Monomial(json_ints(row, "a weight")) for row in doc["weights"])

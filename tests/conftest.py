@@ -1,12 +1,19 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lcmlat import GeneratorSet, Monomial, QuotientPair
+
+# HYPOTHESIS_PROFILE=deep raises the example budget of every property test
+# that does not set its own (tests/test_cli_fuzz.py)
+settings.register_profile("deep", max_examples=5000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_monomial(rng, nvars, max_exp):

@@ -403,8 +403,9 @@ def test_deform_malformed_shifts_exit_1(tmp_path, capsys, shifts):
 
 
 # each document or option carries one number that is not an integer, an
-# index outside the lattice, or an option its document does not take; {doc}
-# is the malformed document and {ideal} a well-formed ideal
+# index outside the lattice, a list of names or labels that is not a JSON
+# array, or an option its document does not take; {doc} is the malformed
+# document and {ideal} a well-formed ideal
 _MALFORMED_NUMBERS = {
     "cover 1e400": ('{"elements": ["a", "b", "c"], "covers": [[0, 2], [1, 1e400]]}',
                     ["lattice", "{doc}"]),
@@ -432,6 +433,28 @@ _MALFORMED_NUMBERS = {
                                 ["weights", "{doc}"]),
     "colon by 5000 digits": ("{}", ["colon", "{ideal}", "--by", "x^" + "9" * 5000]),
     "inflate at 5000 digits": ("{}", ["inflate", "{ideal}", "--element", "x^" + "9" * 5000]),
+    # a string or an object where names or labels belong, once split into
+    # characters or keys and accepted
+    "variables a string": ('{"variables": "xy", "generators": [[2, 0], [1, 1]]}',
+                           ["polarize", "{doc}"]),
+    "variables an object": ('{"variables": {"x": 0, "y": 1}, "generators": [[1, 0], [0, 1]]}',
+                            ["weights", "{doc}"]),
+    "pair variables a string": (json.dumps({"I": PAIR["I"], "J": dict(PAIR["J"], variables="xy")}),
+                                ["sdepth", "{doc}"]),
+    "elements a string": ('{"elements": "abc", "covers": [[0, 2], [1, 2]]}',
+                          ["lattice", "{doc}"]),
+    "elements an object": ('{"elements": {"a": 0, "b": 1, "c": 2}, "covers": [[0, 2], [1, 2]]}',
+                           ["canonical", "{doc}"]),
+    "weighting variables a string": (json.dumps(dict(TRIANGLE_WEIGHTING, variables="xyz")),
+                                     ["realize", "{doc}"]),
+    "weighting elements a string": (
+        json.dumps(dict(TRIANGLE_WEIGHTING, lattice={"elements": "abcd",
+                                                     "covers": [[0, 3], [1, 3], [2, 3]]})),
+        ["realize", "{doc}"]),
+    # --module chooses how an ideal document is read; a pair is taken as given
+    "module on a pair": (json.dumps(PAIR), ["sdepth", "{doc}", "--module", "quotient-ring"]),
+    "module ideal on a pair": (json.dumps(PAIR), ["betti", "{doc}", "--module", "ideal"]),
+    "module on a pair for pdim": (json.dumps(PAIR), ["pdim", "{doc}", "--module", "ideal"]),
 }
 
 
@@ -445,6 +468,8 @@ def test_malformed_numbers_exit_1(tmp_path, capsys, text, argv):
     assert out == "" and err.startswith("error:")
     if "--antichain" in argv and not text.startswith('{"elements"'):
         assert "lattice documents only" in err
+    if "--module" in argv:
+        assert "ideal documents only" in err
 
 
 def test_generic_command(tmp_path, capsys):
@@ -482,6 +507,14 @@ def test_classify_golden_stdout(capsys):
     code, out, err = _run(["classify", "--atoms", "4"], capsys)
     assert code == 0, err
     assert out == (GOLDEN / "classify_atoms4.jsonl").read_text()
+
+
+@pytest.mark.parametrize("atoms", ["0", "-1", "-7"])
+def test_classify_rejects_an_atom_count_below_1(capsys, atoms):
+    # bad input while parsing the arguments, not a resource limit
+    code, out, err = _run(["classify", "--atoms", atoms], capsys)
+    assert code == 1
+    assert out == "" and "error: argument --atoms: a count must be at least 1" in err
 
 
 def test_classify_long_run_guard(capsys):

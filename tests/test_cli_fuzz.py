@@ -1,0 +1,154 @@
+"""Random documents and options through every subcommand that reads a document.
+
+Whatever the input, the command line must exit 0, 1 or 2, write nothing to
+stdout unless it succeeds, start its stderr with ``error:`` or ``limit:``
+when it fails, and never show a traceback.  The example budget comes from
+the loaded hypothesis profile (see conftest.py): the default keeps this test
+to about two seconds, ``HYPOTHESIS_PROFILE=deep`` runs it far longer.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from lcmlat.cli import main
+
+# any small JSON value, for a field that should have held something else
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text("xy0{", max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("xyz", max_size=2), inner, max_size=2)),
+    max_leaves=5,
+)
+
+_MISSING = object()
+
+
+def _or_junk(good):
+    """Mostly a well-shaped value, sometimes junk, sometimes the key left out."""
+    return st.one_of(*[good] * 8, _junk, st.just(_MISSING))
+
+
+def _doc(**fields):
+    return st.fixed_dictionaries({k: _or_junk(v) for k, v in fields.items()}).map(
+        lambda d: {k: v for k, v in d.items() if v is not _MISSING})
+
+
+def _rows(width, min_size=0, max_size=4):
+    return st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width),
+                    min_size=min_size, max_size=max_size)
+
+
+_names = st.lists(st.sampled_from("xyzw"), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def _ideal(draw):
+    names = draw(_names)
+    variables = st.just(names) | st.just("".join(names)) | _names
+    return draw(_doc(variables=variables, generators=_rows(len(names), min_size=1)))
+
+
+@st.composite
+def _lattice(draw):
+    n = draw(st.integers(1, 5))
+    labels = st.lists(st.text("abc", min_size=1, max_size=2), min_size=n, max_size=n)
+    covers = st.lists(st.lists(st.integers(0, n), min_size=2, max_size=2), max_size=6)
+    return draw(_doc(elements=labels | labels.map("".join), covers=covers))
+
+
+@st.composite
+def _weighting(draw):
+    lattice = draw(_lattice())
+    names = draw(_names)
+    elements = lattice.get("elements")
+    n = len(elements) if isinstance(elements, list) else 1
+    return draw(_doc(variables=st.just(names) | st.just("".join(names)), lattice=st.just(lattice),
+                     bottom=_rows(len(names), 1, 1).map(lambda r: r[0]),
+                     weights=_rows(len(names), n, n) | _rows(len(names))))
+
+
+_pair = _doc(I=_ideal(), J=_ideal())
+# an identity of a small lattice, or any short image
+_map = _doc(image=st.integers(1, 8).map(lambda k: list(range(k)))
+            | st.lists(st.integers(0, 6), max_size=8))
+_document = st.one_of(_ideal(), _pair, _lattice(), _weighting(), _map, _junk)
+_shifts = _rows(2) | _rows(3) | _junk
+
+_monomials = st.sampled_from(["x", "y", "x^2*y", "y*z", "x*y*z", "1", "w^0", "q", "x^", ""])
+
+
+def _option(flag, values):
+    """The option absent, or given one of values."""
+    return st.just([]) | values.map(lambda v: [f"{flag}={v}"])
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _options(*parts):
+    return st.tuples(*parts).map(lambda t: sum(t, []))
+
+
+_module = _option("--module", st.sampled_from(["ideal", "quotient-ring"]))
+_field = _option("--field", st.sampled_from(["Q", "GF:2", "GF(3)", "GF:4", "R"]))
+
+_pair_input = _ideal() | _pair
+_lattice_input = _lattice() | _ideal() | _pair
+
+# the first document of each subcommand that reads one: mostly of a kind it
+# reads, sometimes anything
+_INPUT = dict.fromkeys(["sdepth", "betti", "pdim", "polarize", "radical", "colon", "restrict",
+                        "inflate", "deform", "check-map"], _pair_input)
+_INPUT.update(dict.fromkeys(["lattice", "canonical", "equalize", "isomorphic"], _lattice_input))
+_INPUT.update(weights=_ideal(), generic=_ideal(), realize=_weighting())
+
+# the options of each subcommand that reads a document, beyond its first path;
+# {name} stands for the path of the document of that name
+_OPTIONS = {
+    "lattice": _option("--dot", st.just("{dot}")),
+    "weights": st.just([]),
+    "realize": _switch("--minimal"),
+    "canonical": _switch("--minimal"),
+    "equalize": _option("--antichain", st.sampled_from(["0", "0,1", "1,2,3", "a", "0,99", ""])),
+    "sdepth": _module,
+    "betti": _options(_module, _field),
+    "pdim": _options(_module, _field),
+    "polarize": st.just([]),
+    "radical": st.just([]),
+    "colon": _option("--by", _monomials).filter(bool),
+    "restrict": _option("--var", st.sampled_from(["x", "y", "w", "0", "2", "99", "-1", "q"])
+                        ).filter(bool),
+    "inflate": _option("--element", _monomials).filter(bool),
+    "deform": st.just(["--shifts={shifts}"]),
+    "generic": st.just([]),
+    "isomorphic": st.just(["{other}"]),
+    "check-map": _options(st.sampled_from([["{doc}", "{map}"], ["{other}", "{map}"]]),
+                          _switch("--with-sdepth"), _field),
+}
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_OPTIONS)), data=st.data(), other=_document,
+       image=_map | _junk, shifts=_shifts)
+def test_cli_never_crashes(tmp_path, capsys, command, data, other, image, shifts):
+    doc = data.draw(st.one_of(*[_INPUT[command]] * 3, _document), label="doc")
+    paths = {}
+    for name, value in (("doc", doc), ("other", other), ("map", image), ("shifts", shifts)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(value))
+    paths["dot"] = tmp_path / "g.dot"
+    options = data.draw(_OPTIONS[command], label="options")
+    for name, path in paths.items():
+        options = [a.replace("{%s}" % name, str(path)) for a in options]
+    argv = [command, str(paths["doc"]), *options]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code in (0, 1, 2), (argv, err)
+    if info.value.code:
+        assert out == ""
+        assert err.startswith(("error:", "limit:")), (argv, err)
+    assert "Traceback" not in err

@@ -357,6 +357,18 @@ def test_join_map_validation():
     assert ident.is_bijective
 
 
+def test_join_map_after_needs_the_middle_order():
+    # V and the 3-chain both have three elements but differ as orders
+    v = Semilattice.from_relations(["a", "b", "c"], [(0, 2), (1, 2)])
+    chain = Semilattice.from_relations(["0", "1", "2"], [(0, 1), (1, 2)])
+    to_top = JoinMap(v, chain, [2, 2, 2])
+    with pytest.raises(InvalidInput, match="maps do not compose"):
+        to_top.after(JoinMap.identity(chain))
+    # a second copy of V is the same order, so the maps compose through it
+    v_copy = Semilattice.from_relations(["p", "q", "r"], [(0, 2), (1, 2)])
+    assert to_top.after(JoinMap.identity(v_copy)).image == (2, 2, 2)
+
+
 def test_pseudo_inverse_properties():
     b3 = boolean_semilattice(3)
     a = b3.meet_irreducibles[1]
