@@ -98,6 +98,7 @@ from .sdepth import (
     SdepthReport,
     characteristic_poset,
     sdepth_solve,
+    sdepth_value,
     verify_decomposition,
 )
 from .classify import (

@@ -24,15 +24,15 @@ from .lattice import Semilattice, _canon_family, boolean_semilattice, family_sem
 from .monomials import GeneratorSet, Monomial, Weighting, ideal_pair, quotient_ring_pair
 from .realize import canonical_realization, chain_weighting, realize
 from .resolution import taylor_betti
-from .sdepth import sdepth_solve
+from .sdepth import sdepth_value
 
 # Frames one Stanley-depth search on the chain realization may push before
-# the class falls back to the canonical realization.  Over the 5-atom census
-# the chain searches that finish push at most 230 615 frames (one class, whose
-# canonical searches run past a minute; the next is 101 055), the checks5
-# benchmark pool at most 6 003.  One class stalls there but not on the
-# canonical realization; at about 190 000 frames a second (2-core x86-64 VM)
-# it pays about 1.3 s before it falls back.
+# the class falls back to the canonical realization.  With the two searches
+# of sdepth_value taking turns, no search over the 5-atom census pushes more
+# than 2 000 frames there (one slice, before the other search or the colon
+# cap settles its target) and none over the checks5 benchmark pool more than
+# 277, so no class falls back.  Run alone, the sdepth_solve search pushes up
+# to 230 615 frames on the chain searches of the census that finish.
 _CHAIN_BUDGET = 250_000
 
 
@@ -95,10 +95,10 @@ def _invariants_of_gens(gens: GeneratorSet, config: Config, budget=inf):
     bq = taylor_betti(quotient_ring_pair(slim), config)
     if bq.pdim != bi.pdim + 1:
         raise InternalError("quotient ring must sit one step above its ideal")
-    si = sdepth_solve(ideal_pair(slim), config, budget)
-    sq = sdepth_solve(quotient_ring_pair(slim), config, budget)
+    si = sdepth_value(ideal_pair(slim), config, budget)
+    sq = sdepth_value(quotient_ring_pair(slim), config, budget)
     return LatticeInvariants(
-        bi.pdim, bq.pdim, si.spdim, sq.spdim, slim.nvars, bq.field
+        bi.pdim, bq.pdim, slim.nvars - si, slim.nvars - sq, slim.nvars, bq.field
     )
 
 

@@ -582,14 +582,21 @@ def json_ints(values, what):
     return [int(v) for v in values]
 
 
+def json_array(value, what):
+    """A JSON array as given; InvalidInput for a string, an object or a number,
+    which would otherwise be read as its characters or keys."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def lattice_from_json(doc, config: Config = DEFAULT) -> Semilattice:
     try:
-        labels = doc["elements"]
-        covers = [(a, b) for a, b in (json_ints(c, "a cover") for c in doc["covers"])]
+        labels = json_array(doc["elements"], "elements")
+        covers = [(a, b) for a, b in (json_ints(c, "a cover")
+                                      for c in json_array(doc["covers"], "covers"))]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad lattice document: {exc}")
-    if not isinstance(labels, (list, tuple)):
-        raise InvalidInput(f"elements must be a list of labels, got {labels!r}")
     return Semilattice.from_relations(labels, covers, config)
 
 

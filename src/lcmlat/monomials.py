@@ -29,7 +29,8 @@ from .errors import (
     LimitExceeded,
     NotSquarefree,
 )
-from .lattice import Semilattice, _bits, json_ints, lattice_from_json, lattice_to_json
+from .lattice import (Semilattice, _bits, json_array, json_ints, lattice_from_json,
+                      lattice_to_json)
 
 
 class Monomial(tuple):
@@ -569,10 +570,8 @@ def gens_to_json(gens: GeneratorSet) -> dict:
 
 def gens_from_json(doc) -> GeneratorSet:
     try:
-        gens = [json_ints(g, "a generator") for g in doc["generators"]]
-        if not isinstance(doc["variables"], (list, tuple)):
-            raise InvalidInput(f"variables must be a list of names, got {doc['variables']!r}")
-        return GeneratorSet(doc["variables"], gens)
+        gens = [json_ints(g, "a generator") for g in json_array(doc["generators"], "generators")]
+        return GeneratorSet(json_array(doc["variables"], "variables"), gens)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"bad ideal document: {exc}")
 
@@ -600,11 +599,10 @@ def weighting_to_json(w: Weighting) -> dict:
 def weighting_from_json(doc, config: Config = DEFAULT) -> Weighting:
     try:
         lat = lattice_from_json(doc["lattice"], config)
-        if not isinstance(doc["variables"], (list, tuple)):
-            raise InvalidInput(f"variables must be a list of names, got {doc['variables']!r}")
-        variables = [str(v) for v in doc["variables"]]
+        variables = [str(v) for v in json_array(doc["variables"], "variables")]
         bottom = Monomial(json_ints(doc["bottom"], "the bottom weight"))
-        weights = tuple(Monomial(json_ints(row, "a weight")) for row in doc["weights"])
+        weights = tuple(Monomial(json_ints(row, "a weight"))
+                        for row in json_array(doc["weights"], "weights"))
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"bad weighting document: {exc}")
     if len(weights) != lat.n:

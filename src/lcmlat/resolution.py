@@ -17,7 +17,7 @@ from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, LimitExceeded, NotSurjective
 from .lattice import JoinMap
 from .monomials import QuotientPair, lcm_semilattice, union_generators
-from .sdepth import sdepth_solve
+from .sdepth import sdepth_value
 
 
 def _rank_by(rows, ncols, clear):
@@ -188,7 +188,7 @@ def pdim_pair_invariance(pair_a: QuotientPair, pair_b: QuotientPair, image,
     pdim_ok = ba.pdim == bb.pdim if bij else ba.pdim >= bb.pdim
     if not with_sdepth:
         return MapCheck(bij, ba.pdim, bb.pdim, pdim_ok)
-    sa = sdepth_solve(pair_a, config)
-    sb = sdepth_solve(pair_b, config)
-    spdim_ok = sa.spdim == sb.spdim if bij else sa.spdim >= sb.spdim
-    return MapCheck(bij, ba.pdim, bb.pdim, pdim_ok, sa.spdim, sb.spdim, spdim_ok)
+    sa = pair_a.i.nvars - sdepth_value(pair_a, config)
+    sb = pair_b.i.nvars - sdepth_value(pair_b, config)
+    spdim_ok = sa == sb if bij else sa >= sb
+    return MapCheck(bij, ba.pdim, bb.pdim, pdim_ok, sa, sb, spdim_ok)

@@ -22,6 +22,12 @@ one; each point's last free top is tested first.  The Hilbert depth
 above, so the search that would fail one level higher is skipped when the
 bound is reached.
 
+sdepth_solve runs that one search per target, so its witness is the first
+partition found.  sdepth_value, for callers that need the number alone, also
+runs a level-exact search (tops at the target level only) in alternating
+slices with it and takes the first answer, and caps the targets of I and S/I
+by the Hilbert caps of their colons by one variable.
+
 The box cells are bitsets in mixed radix, and the point set is the union of
 the generators' up-sets in I less those in J.  Point sets of the search are
 integer bitsets over the sorted points.  Per coordinate j and value v,
@@ -32,16 +38,17 @@ level from the highest down, lowest index first.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, product
 from math import inf
 from operator import eq
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded
-from .monomials import QuotientPair, _interval_masks, union_generators
+from .monomials import Monomial, QuotientPair, _interval_masks, colon, union_generators
 
 _FAIL_CACHE_CAP = 1 << 18
+_SLICE = 2000  # frames a search pushes before it yields its turn
 _GRID_CAP = 4_000_000
 
 
@@ -117,15 +124,18 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
 
 
-def _cover_search(target, full, up, down, level, budget):
-    """A partition into intervals whose tops all reach `target`, or None.
+def _cover_steps(target, full, up, down, level, budget):
+    """A search for a partition of `full` into intervals whose tops all reach
+    `target`, run in slices: it yields after every _SLICE pushed frames and
+    returns the partition, or None when there is none.
 
     level[r] is the mask of the points of ceiling count r; the tops are tried
-    from the highest level down, lowest index first.  Each frame of the one
-    explicit stack is (uncovered, a, above, r, pending): the state, its
-    bottom, the uncovered points above it, the level walked and the tops of
-    that level not yet tried.  Dead and exhausted states go to the fail cache.
-    Pushing more than `budget` frames raises LimitExceeded.
+    from the highest level down, lowest index first.  The first bottom is the
+    least point of `full`.  Each frame of the one explicit stack is
+    (uncovered, a, above, r, pending): the state, its bottom, the uncovered
+    points above it, the level walked and the tops of that level not yet
+    tried.  Dead and exhausted states go to the fail cache.  Pushing more
+    than `budget` frames raises LimitExceeded.
     """
     high = 0
     for m in level[target:]:
@@ -156,9 +166,10 @@ def _cover_search(target, full, up, down, level, budget):
     top = len(level) - 1
     chosen = []
     frames = []  # (uncovered, a, above, r, pending) of each open choice
+    pushed = 0
     uncovered = full
-    a = 0
-    above = up[a]
+    a = (full & -full).bit_length() - 1
+    above = up[a] & full
     r = top
     pending = above & level[r]
     while True:
@@ -191,8 +202,8 @@ def _cover_search(target, full, up, down, level, budget):
             if len(fail) < _FAIL_CACHE_CAP:
                 fail.add(rest)
             continue
-        budget -= 1
-        if budget < 0:
+        pushed += 1
+        if pushed > budget:
             raise LimitExceeded("sdepth search exceeds its frame budget")
         frames.append((uncovered, a, above, r, pending))
         uncovered = rest
@@ -200,6 +211,52 @@ def _cover_search(target, full, up, down, level, budget):
         above = up[a] & rest
         r = top
         pending = above & level[r]
+        if not pushed % _SLICE:
+            yield
+
+
+def _cover_search(target, full, up, down, level, budget):
+    """A partition of `full` with every top at `target` or higher, or None."""
+    return _first_to_finish([_cover_steps(target, full, up, down, level, budget)])
+
+
+def _level_exact_steps(target, full, up, down, level, budget):
+    """The search of _cover_steps with every top at level `target` exactly.
+
+    Stanley depth is at least k exactly when the points of ceiling count
+    below k are covered by disjoint intervals whose tops have count k, every
+    other point a singleton: an interval [a, b] with cc(b) > k splits on a
+    coordinate j with a[j] < b[j] = g[j] into the part with c[j] < g[j], its
+    top one count lower, and the part with c[j] = g[j]; when no such j is
+    left, every point of [a, b] counts more than k.  So the points above
+    level k leave the search and come back as singletons.
+    """
+    higher = 0
+    for m in level[target + 1:]:
+        higher |= m
+    higher &= full
+    found = yield from _cover_steps(target, full ^ higher, up, down, level[:target + 1], budget)
+    if found is not None:
+        found += [(i, i) for i in range(len(up)) if higher >> i & 1]
+    return found
+
+
+def _first_to_finish(searches, ruled_out=None):
+    """Run the searches in turn, one slice each, until one ends; its answer.
+
+    After every search has had its first slice, ruled_out() may end the race
+    with None.
+    """
+    first = True
+    while True:
+        for search in searches:
+            try:
+                next(search)
+            except StopIteration as end:
+                return end.value
+        if first and ruled_out and ruled_out():
+            return None
+        first = False
 
 
 def _hilbert_cap(poset):
@@ -256,39 +313,96 @@ class SdepthReport:
         }
 
 
+def _search_setup(pair, config):
+    """The poset, its level and interval masks, the least ceiling count and
+    the cap on the target: no interval bottomed at a point tops out above the
+    highest level over it, and the Hilbert cap bounds the rest."""
+    poset = characteristic_poset(pair, config)
+    level = [0] * (len(poset.variables) + 1)
+    for i, r in enumerate(poset.ceiling_counts):
+        level[r] |= 1 << i
+    up, down = _interval_masks(poset.points)
+    value = next(r for r, m in enumerate(level) if m)
+    tcap = min(next(r for r in range(len(level) - 1, -1, -1) if u & level[r]) for u in up)
+    if tcap > value:  # only a search can use the cap
+        tcap = min(tcap, _hilbert_cap(poset))
+    return poset, level, up, down, value, tcap
+
+
+def _colon_cap(pair, poset, config):
+    """The least Hilbert cap of the proper colons by one variable, for I or S/I.
+
+    sdepth(I:u) >= sdepth(I) (Cimpoeaş 2012) and sdepth(S/(I:u)) >=
+    sdepth(S/I) (Rauf 2010), so each such cap bounds the Stanley depth of
+    I, or of S/I.  No colon bound is used for a general I/J.
+    """
+    if pair.j.gens and not any(g.is_unit() for g in pair.i.gens):
+        return inf
+    cap = inf
+    n = len(poset.variables)
+    for j, e in enumerate(poset.ceiling):
+        if e:  # a variable that divides no generator leaves the pair as it is
+            quotient = colon(pair, Monomial(int(t == j) for t in range(n)))
+            if quotient.is_proper():
+                cap = min(cap, _hilbert_cap(characteristic_poset(quotient, config)))
+    return cap
+
+
+def _verified(poset, value, witness):
+    """The witness as point pairs, once it tiles the poset at `value` or above."""
+    pts = poset.points
+    intervals = tuple((pts[a], pts[b]) for a, b in witness)
+    ok, achieved = verify_decomposition(poset, intervals)
+    if not ok or achieved < value:
+        raise InternalError(f"the witness of Stanley depth {value} does not verify")
+    return intervals
+
+
 def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> SdepthReport:
     """Exact Stanley depth, its complement, and an optimal interval partition.
 
     Each search pushes at most `budget` frames, or LimitExceeded is raised.
     """
-    poset = characteristic_poset(pair, config)
-    pts = poset.points
-    n = poset.size
-    nvars = len(poset.variables)
-    level = [0] * (nvars + 1)
-    for i, r in enumerate(poset.ceiling_counts):
-        level[r] |= 1 << i
-    up, down = _interval_masks(pts)
-    full = (1 << n) - 1
-
-    value = next(r for r, m in enumerate(level) if m)
-    witness = [(i, i) for i in range(n)]
-    # no interval bottomed at i can top out above the highest level over i
-    tcap = min(next(r for r in range(nvars, -1, -1) if u & level[r]) for u in up)
-    if tcap > value:  # only a search can use the cap
-        tcap = min(tcap, _hilbert_cap(poset))
+    poset, level, up, down, value, tcap = _search_setup(pair, config)
+    full = (1 << poset.size) - 1
+    witness = [(i, i) for i in range(poset.size)]
     for target in range(value + 1, tcap + 1):
         found = _cover_search(target, full, up, down, level, budget)
         if found is None:
             break
         witness = found
         value = target
+    nvars = len(poset.variables)
+    return SdepthReport(value, nvars - value, nvars, poset.ceiling, poset.size,
+                        _verified(poset, value, witness))
 
-    intervals = tuple((pts[a], pts[b]) for a, b in witness)
-    ok, achieved = verify_decomposition(poset, intervals)
-    if not ok or achieved < value:
-        raise InternalError(f"the witness of Stanley depth {value} does not verify")
-    return SdepthReport(value, nvars - value, nvars, poset.ceiling, n, intervals)
+
+def sdepth_value(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> int:
+    """Exact Stanley depth alone, each target decided by two searches in turn.
+
+    The level-exact search (tops at the target level only) and the search of
+    sdepth_solve run in alternating slices, level-exact first; whichever ends
+    first decides, since both are complete.  A target still open after the
+    first slices is checked against the colon cap, computed once.  The
+    witness of the value found is verified like any other; each search
+    pushes at most `budget` frames, or LimitExceeded is raised.
+    """
+    poset, level, up, down, value, tcap = _search_setup(pair, config)
+    full = (1 << poset.size) - 1
+    witness = [(i, i) for i in range(poset.size)]
+    colon_cap = cache(lambda: _colon_cap(pair, poset, config))
+    for target in range(value + 1, tcap + 1):
+        found = _first_to_finish(
+            (_level_exact_steps(target, full, up, down, level, budget),
+             _cover_steps(target, full, up, down, level, budget)),
+            lambda: target > colon_cap(),
+        )
+        if found is None:
+            break
+        witness = found
+        value = target
+    _verified(poset, value, witness)
+    return value
 
 
 def verify_decomposition(poset: CharacteristicPoset, intervals):

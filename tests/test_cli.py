@@ -433,8 +433,8 @@ _MALFORMED_NUMBERS = {
                                 ["weights", "{doc}"]),
     "colon by 5000 digits": ("{}", ["colon", "{ideal}", "--by", "x^" + "9" * 5000]),
     "inflate at 5000 digits": ("{}", ["inflate", "{ideal}", "--element", "x^" + "9" * 5000]),
-    # a string or an object where names or labels belong, once split into
-    # characters or keys and accepted
+    # a string or an object where names, labels, generators or covers belong,
+    # once split into characters or keys and accepted
     "variables a string": ('{"variables": "xy", "generators": [[2, 0], [1, 1]]}',
                            ["polarize", "{doc}"]),
     "variables an object": ('{"variables": {"x": 0, "y": 1}, "generators": [[1, 0], [0, 1]]}',
@@ -447,6 +447,12 @@ _MALFORMED_NUMBERS = {
                            ["canonical", "{doc}"]),
     "weighting variables a string": (json.dumps(dict(TRIANGLE_WEIGHTING, variables="xyz")),
                                      ["realize", "{doc}"]),
+    "generators an object": ('{"variables": ["x"], "generators": {}}', ["polarize", "{doc}"]),
+    "generators a string": ('{"variables": ["x"], "generators": ""}', ["polarize", "{doc}"]),
+    "covers a string": ('{"elements": ["a"], "covers": ""}', ["lattice", "{doc}"]),
+    "covers an object": ('{"elements": ["a"], "covers": {}}', ["lattice", "{doc}"]),
+    "weighting weights an object": (json.dumps(dict(TRIANGLE_WEIGHTING, weights={})),
+                                    ["realize", "{doc}"]),
     "weighting elements a string": (
         json.dumps(dict(TRIANGLE_WEIGHTING, lattice={"elements": "abcd",
                                                      "covers": [[0, 3], [1, 3], [2, 3]]})),

@@ -161,7 +161,7 @@ def test_order_view_is_read_only():
 _OPTIMIZED_CHECKS = textwrap.dedent("""
     from lcmlat import (CyclicRelation, GeneratorSet, InternalError, InvalidInput,
                         Monomial, NotASemilattice, Semilattice, boolean_semilattice,
-                        ideal_pair, sdepth_solve)
+                        ideal_pair, sdepth_solve, sdepth_value)
     from lcmlat import sdepth
     if __debug__:
         raise SystemExit("asserts are still on")
@@ -183,6 +183,13 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         sdepth_solve(ideal_pair(GeneratorSet(
             ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))])))
         raise SystemExit("unverified sdepth witness accepted")
+    except InternalError:
+        pass
+    sdepth._first_to_finish = lambda *args: [(0, 0)]
+    try:
+        sdepth_value(ideal_pair(GeneratorSet(
+            ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))])))
+        raise SystemExit("unverified sdepth value witness accepted")
     except InternalError:
         pass
     from lcmlat import resolution, taylor_betti

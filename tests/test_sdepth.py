@@ -13,10 +13,11 @@ from lcmlat import (
     parse_monomial,
     quotient_ring_pair,
     sdepth_solve,
+    sdepth_value,
     verify_decomposition,
 )
 from lcmlat import sdepth as sdepth_module
-from lcmlat.config import Config
+from lcmlat.config import DEFAULT, Config
 
 from oracles import box_points, brute_sdepth_pair, first_found_witness, polarized_hilbert_cap
 
@@ -325,6 +326,110 @@ def test_verify_accepts_optimal_tiling():
     pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x", "y")))
     ok, value = verify_decomposition(pos, [((1, 0), (1, 1)), ((0, 1), (0, 1))])
     assert ok and value == 1
+
+
+# ---------------- the value path ----------------
+
+
+def _small_pairs(rng):
+    """I, S/I and proper I/J on random boxes, and the squarefree ones."""
+    from conftest import random_ideal, random_proper_pair
+
+    pairs = _random_squarefree_pairs(rng, 40)
+    for _ in range(25):
+        gens = random_ideal(rng, max_vars=3, max_gens=4, max_exp=2).minimalize()
+        pairs += [ideal_pair(gens), quotient_ring_pair(gens),
+                  random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=2)]
+    return pairs
+
+
+def test_value_matches_brute_force(rng):
+    for pair in _small_pairs(rng):
+        assert sdepth_value(pair) == brute_sdepth_pair(pair)
+
+
+def test_value_matches_brute_force_in_single_frame_slices(rng, monkeypatch):
+    # one frame a slice: the two searches trade turns at every push, and the
+    # colon cap is consulted, at most once a solve, on any target still open
+    real = sdepth_module._colon_cap
+    calls = []
+    monkeypatch.setattr(sdepth_module, "_SLICE", 1)
+    monkeypatch.setattr(sdepth_module, "_colon_cap",
+                        lambda *args: calls.append(args) or real(*args))
+    pairs = _small_pairs(rng)
+    for pair in pairs:
+        before = len(calls)
+        assert sdepth_value(pair) == brute_sdepth_pair(pair)
+        assert len(calls) - before <= 1
+    assert 0 < len(calls) < len(pairs)
+
+
+def test_level_exact_search_decides_each_target(rng):
+    # alone, the level-exact search finds a partition exactly up to the
+    # Stanley depth, and its partition plus singletons verifies
+    for pair in _small_pairs(rng):
+        poset, level, up, down, least, _ = sdepth_module._search_setup(pair, DEFAULT)
+        full = (1 << poset.size) - 1
+        best = brute_sdepth_pair(pair)
+        for target in range(least + 1, len(level)):
+            found = sdepth_module._first_to_finish(
+                [sdepth_module._level_exact_steps(target, full, up, down, level, 10**6)])
+            assert (found is not None) == (target <= best)
+            if found is not None:
+                ok, value = verify_decomposition(
+                    poset, [(poset.points[a], poset.points[b]) for a, b in found])
+                assert ok and value == target
+
+
+def test_search_starts_at_the_least_point_of_its_set():
+    # (x, y, z) at depth 2 without its point 0, z: a search that took its
+    # first bottom at index 0 could place no interval and would fail
+    pair = ideal_pair(_gens(("x", "y", "z"), "x", "y", "z"))
+    poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
+    rest = (1 << poset.size) - 2
+    found = sdepth_module._cover_search(2, rest, up, down, level, 10**6)
+    covered = [up[a] & down[b] for a, b in found]
+    assert sum(covered) == rest and all(c & rest == c for c in covered)
+    assert found[0][0] == 1
+
+
+def test_colon_cap_never_below_sdepth(rng):
+    from conftest import random_ideal
+
+    pairs = _random_squarefree_pairs(rng, 60)
+    for _ in range(40):
+        gens = random_ideal(rng, max_vars=3, max_gens=4, max_exp=2).minimalize()
+        pairs += [ideal_pair(gens), quotient_ring_pair(gens)]
+    for pair in pairs:
+        poset = characteristic_poset(pair)
+        cap = sdepth_module._colon_cap(pair, poset, DEFAULT)
+        if pair.j.gens and not any(g.is_unit() for g in pair.i.gens):
+            assert cap == float("inf")  # no colon bound for a general I/J
+        else:
+            assert cap >= brute_sdepth_pair(pair)
+
+
+def test_colon_cap_below_the_hilbert_cap():
+    # S/(z*w, y*z, x*z): the colon by z is (x, y, w), and S/(x, y, w) has
+    # Stanley depth 1, the value itself, while the Hilbert cap allows 2
+    pair = quotient_ring_pair(_gens(("x", "y", "z", "w"), "z*w", "y*z", "x*z"))
+    poset = characteristic_poset(pair)
+    assert sdepth_module._hilbert_cap(poset) == 2
+    assert sdepth_module._colon_cap(pair, poset, DEFAULT) == 1 == brute_sdepth_pair(pair)
+
+
+def test_unverified_value_witness_raises(monkeypatch):
+    # (x, y, z): the first search to end claims one singleton for seven points
+    monkeypatch.setattr(sdepth_module, "_first_to_finish", lambda *args: [(0, 0)])
+    with pytest.raises(InternalError):
+        sdepth_value(ideal_pair(_gens(("x", "y", "z"), "x", "y", "z")))
+
+
+def test_value_budget_bounds_each_search():
+    pair = quotient_ring_pair(_gens(("x", "y", "z", "w"), "x*y", "y*z", "z*w", "w*x"))
+    assert sdepth_value(pair, budget=10**6) == sdepth_solve(pair).sdepth
+    with pytest.raises(LimitExceeded):
+        sdepth_value(pair, budget=0)
 
 
 # ---------------- caps ----------------
