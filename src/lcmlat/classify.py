@@ -130,10 +130,10 @@ def lattice_invariants(lat: Semilattice, config: Config = DEFAULT) -> LatticeInv
     if not lat.is_atomistic:
         raise NotAtomistic("invariants are defined through atomistic realizations")
     try:
-        chain = realize(chain_weighting(lat), config)
+        chain = realize(chain_weighting(lat))
         inv = _invariants_of_gens(chain, config, _CHAIN_BUDGET)
     except LimitExceeded:
-        inv = _invariants_of_gens(canonical_realization(lat, config), config)
+        inv = _invariants_of_gens(canonical_realization(lat), config)
     return replace(inv, nvars=max(len(lat.meet_irreducibles), 1))
 
 

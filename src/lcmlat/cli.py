@@ -158,12 +158,12 @@ def _cmd_weights(args, cfg):
 
 
 def _cmd_realize(args, cfg):
-    gens = _do_realize(_read(args.input, cfg, "weighting"), cfg)
+    gens = _do_realize(_read(args.input, cfg, "weighting"))
     return _mono.gens_to_json(gens.minimalize() if args.minimal else gens)
 
 
 def _cmd_canonical(args, cfg):
-    gens = _canonical_realization(_lattice_of(args.input, cfg), cfg)
+    gens = _canonical_realization(_lattice_of(args.input, cfg))
     return _mono.gens_to_json(gens.minimalize() if args.minimal else gens)
 
 
@@ -249,7 +249,7 @@ def _cmd_classify(args, cfg):
             bundle = {
                 "record": record,
                 "lattice": _lattice.lattice_to_json(lat),
-                "realization": _mono.gens_to_json(_canonical_realization(lat, cfg)),
+                "realization": _mono.gens_to_json(_canonical_realization(lat)),
             }
             sys.stderr.write(json.dumps(bundle, sort_keys=True) + "\n")
         raise AssertionError(f"{len(bad)} counterexample(s) found")

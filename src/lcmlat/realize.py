@@ -5,17 +5,24 @@ weights, every meet-irreducible carries a non-unit, and the top carries 1.
 The realization multiplies, for each element M, the weights of the bottom and
 of all elements not above M; the resulting generator set has the original
 lattice as its lcm-semilattice and the original weights as its standard
-weight map.  Both halves of that round trip are checked here.
+weight map.  Both halves of that round trip are checked here, on the
+generators themselves and element for element: they are distinct, the lcm of
+each incomparable pair is one of them, they divide each other exactly as the
+order says, and their bottom and standard weights are the given ones.  That
+is all a rebuilt lcm-semilattice could show, so none is built.
 """
+
+from operator import sub
 
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, InvalidWeighting, NotAntichain
-from .lattice import Semilattice
+from .lattice import Semilattice, _bits
 from .monomials import (
     GeneratorSet,
     Monomial,
     QuotientPair,
     Weighting,
+    _interval_masks,
     m_coprime,
     reconstruct,
     union_generators,
@@ -48,31 +55,43 @@ def validate_weighting(w: Weighting):
     return True, None
 
 
-def realize(w: Weighting, config: Config = DEFAULT) -> GeneratorSet:
+def realize(w: Weighting) -> GeneratorSet:
     """Invert a weighting into monomials, generator i for element i, and
     check the round trip."""
     ok, witness = validate_weighting(w)
     if not ok:
         raise InvalidWeighting(witness)
     gens = GeneratorSet(w.variables, [reconstruct(w, m) for m in range(w.lattice.n)])
-    _check_roundtrip(w, gens, config)
+    _check_roundtrip(w, gens)
     return gens
 
 
-def _check_roundtrip(w, gens, config):
+def _check_roundtrip(w, gens):
+    """Raise InternalError unless gens, element for element, is w's lattice
+    with w's weights: the four conditions of the module docstring."""
     lat = w.lattice
     labeling = gens.gens
-    back = weight_map(gens, config)
-    index = {m: i for i, m in enumerate(back.monomials)}
-    if len(set(labeling)) != lat.n or set(index) != set(labeling):
+    members = set(labeling)
+    if len(members) != lat.n:
         raise InternalError("realized monomials collide or miss the lcm-lattice")
+    up, down = _interval_masks(labeling)  # divisibility is the componentwise order
+    everything = (1 << lat.n) - 1
     for a, ma in enumerate(labeling):
-        if sum(1 << b for b, mb in enumerate(labeling) if ma.divides(mb)) != lat.upper_masks[a]:
-            raise InternalError("divisibility of the realization differs from the order")
-    if back.bottom != w.bottom or any(
-        back.weights[index[labeling[m]]] != w.weights[m] for m in range(lat.n)
-    ):
+        # a comparable pair's lcm is one of the pair: only incomparable pairs, each once
+        for b in _bits(everything >> a << a & ~(up[a] | down[a])):
+            if ma.lcm(labeling[b]) not in members:
+                raise InternalError("realized monomials collide or miss the lcm-lattice")
+    if tuple(up) != lat.upper_masks:
+        raise InternalError("divisibility of the realization differs from the order")
+    if gens.gcd_of_gens() != w.bottom:
         raise InternalError("weights do not survive the round trip")
+    for a, ma in enumerate(labeling):
+        # the standard weight: the gcd of the elements strictly above a,
+        # divided by a; the top, with none above, carries 1
+        above = [labeling[b] for b in _bits(up[a] & ~(1 << a))]
+        ceiling = tuple(map(min, zip(*above))) if above else ma
+        if tuple(map(sub, ceiling, ma)) != w.weights[a]:
+            raise InternalError("weights do not survive the round trip")
 
 
 def _chains_weighting(lat: Semilattice, chains, variables) -> Weighting:
@@ -138,9 +157,9 @@ def chain_weighting(lat: Semilattice) -> Weighting:
     return _chains_weighting(lat, chains, [f"c{t}" for t in range(len(chains))])
 
 
-def canonical_realization(lat: Semilattice, config: Config = DEFAULT) -> GeneratorSet:
+def canonical_realization(lat: Semilattice) -> GeneratorSet:
     """Squarefree realization over one variable per meet-irreducible."""
-    real = realize(canonical_weighting(lat), config)
+    real = realize(canonical_weighting(lat))
     if not real.is_squarefree_raw():
         raise InternalError("the canonical realization is not squarefree")
     return real
@@ -207,7 +226,7 @@ def single_degree_pair(pair: QuotientPair, config: Config = DEFAULT) -> Quotient
     targets = [index.get(g) for g in slim.i.gens]
     if any(t is None for t in targets):
         raise InvalidInput("minimal generators must appear in the joint lattice")
-    real = realize(equalize_degrees(base, targets), config)
+    real = realize(equalize_degrees(base, targets))
     new_i = GeneratorSet(real.variables, [real.gens[t] for t in targets])
     new_j = GeneratorSet(real.variables, [real.gens[index[g]] for g in slim.j.gens])
     if len({g.degree() for g in new_i.gens}) != 1:

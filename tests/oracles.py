@@ -4,9 +4,10 @@ Everything here is deliberately naive and shares no algorithmic structure
 with the package: partitions are enumerated recursively over explicit point
 sets, ranks are computed over exact fractions or by plain elimination mod p,
 Betti numbers come from the full, unblocked Taylor complex, census families
-are produced by filtering the full powerset, and associated primes come from
-a grid scan of colon ideals.  Results are compared against the fast implementations and
-frozen where the suite needs literal constants.
+are produced by filtering the full powerset, associated primes come from
+a grid scan of colon ideals, and lcm closures and standard weights are taken
+on plain exponent tuples, pair by pair.  Results are compared against the
+fast implementations and frozen where the suite needs literal constants.
 """
 
 from fractions import Fraction
@@ -306,6 +307,30 @@ def family_to_lattice(fam):
 def divisibility_matrix(monos):
     """leq[i][j]: monos[i] divides monos[j], coordinate by coordinate."""
     return [[all(x <= y for x, y in zip(a, b)) for b in monos] for a in monos]
+
+
+def lcm_closure(monos):
+    """Every lcm of a non-empty subset of the exponent tuples: pairwise lcms
+    are added until none is new."""
+    closed = {tuple(m) for m in monos}
+    while True:
+        fresh = {tuple(map(max, a, b)) for a in closed for b in closed} - closed
+        if not fresh:
+            return closed
+        closed |= fresh
+
+
+def standard_weights(monos):
+    """(bottom, weights) of an lcm-closed list of exponent tuples: the gcd of
+    them all, and per tuple the gcd of the others it divides, less itself
+    (all zeros where it divides no other)."""
+    leq = divisibility_matrix(monos)
+    weights = []
+    for i, m in enumerate(monos):
+        above = [x for j, x in enumerate(monos) if j != i and leq[i][j]]
+        gcd = [min(col) for col in zip(*above)] if above else list(m)
+        weights.append(tuple(g - e for g, e in zip(gcd, m)))
+    return tuple(min(col) for col in zip(*monos)), weights
 
 
 def covers_by_definition(leq):

@@ -121,9 +121,9 @@ def _fallbacks(monkeypatch):
     """The lattices lattice_invariants hands to the canonical realization."""
     seen = []
 
-    def spy(lat, config=DEFAULT):
+    def spy(lat):
         seen.append(lat)
-        return canonical_realization(lat, config)
+        return canonical_realization(lat)
 
     monkeypatch.setattr(classify, "canonical_realization", spy)
     return seen

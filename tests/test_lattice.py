@@ -224,7 +224,16 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
     import importlib
     from lcmlat import canonical_realization
     realize = importlib.import_module("lcmlat.realize")
-    realize.realize = lambda w, config: GeneratorSet(("x",), [Monomial((2,))])
+    from lcmlat import Weighting
+    chain = Semilattice.from_relations(["a", "b"], [(0, 1)])
+    try:
+        realize._check_roundtrip(
+            Weighting(chain, ("x",), Monomial((1,)), (Monomial((1,)), Monomial((0,)))),
+            GeneratorSet(("x",), [Monomial((2,)), Monomial((1,))]))
+        raise SystemExit("a realization dividing against the order accepted")
+    except InternalError:
+        pass
+    realize.realize = lambda w: GeneratorSet(("x",), [Monomial((2,))])
     try:
         canonical_realization(boolean_semilattice(1))
         raise SystemExit("a non-squarefree canonical realization accepted")

@@ -4,6 +4,7 @@ import pytest
 
 from lcmlat import (
     GeneratorSet,
+    InternalError,
     InvalidInput,
     InvalidWeighting,
     Monomial,
@@ -28,8 +29,9 @@ from lcmlat import (
     validate_weighting,
     weight_map,
 )
+from lcmlat.realize import _check_roundtrip
 
-from oracles import width_by_search
+from oracles import divisibility_matrix, lcm_closure, standard_weights, width_by_search
 
 
 def test_validate_weighting_conditions():
@@ -137,6 +139,34 @@ def test_realize_with_random_coprime_weights(rng):
         assert len(real) == lat.n
 
 
+def _b2_forgery(gens=((0, 1), (1, 0), (1, 1)), bottom=(0, 0), weights=((1, 0), (0, 1), (0, 0))):
+    """B2's canonical weighting and its realization y, x, xy, parts replaced."""
+    w = Weighting(boolean_semilattice(2), ("x", "y"), Monomial(bottom),
+                  tuple(map(Monomial, weights)))
+    return w, GeneratorSet(w.variables, gens)
+
+
+def test_roundtrip_check_accepts_the_realization():
+    w, gens = _b2_forgery()
+    assert realize(w).gens == gens.gens
+    _check_roundtrip(w, gens)
+
+
+@pytest.mark.parametrize("forgery, message", [
+    (_b2_forgery(gens=((0, 1), (0, 1), (1, 1))), "collide"),
+    # raising the top's y leaves the atoms' lcm xy out
+    (_b2_forgery(gens=((0, 1), (1, 0), (1, 2))), "miss the lcm-lattice"),
+    # closed under lcm, but element 1 is the top by divisibility
+    (_b2_forgery(gens=((0, 1), (1, 1), (1, 0))), "divisibility"),
+    (_b2_forgery(weights=((2, 0), (0, 1), (0, 0))), "weights"),
+    (_b2_forgery(bottom=(1, 0)), "weights"),
+], ids=["one monomial twice", "not lcm-closed", "order differs", "wrong weight",
+        "wrong bottom"])
+def test_roundtrip_check_rejects_forged_realizations(forgery, message):
+    with pytest.raises(InternalError, match=message):
+        _check_roundtrip(*forgery)
+
+
 def _small_lattices():
     """Every atomistic class on at most 4 atoms, a chain and two non-atomistic lattices."""
     for k in range(1, 5):
@@ -160,6 +190,17 @@ def test_chain_weighting_is_valid_with_width_many_variables():
         assert ok, witness
         assert len(w.variables) == width_by_search(lat.meet_irreducibles, lat.leq.tolist())
         assert len(realize(w)) == lat.n
+
+
+def test_realization_is_its_own_lcm_lattice_by_oracle(rng):
+    from lcmlat import random_weighting
+
+    for lat in _small_lattices():
+        for w in (chain_weighting(lat), canonical_weighting(lat), random_weighting(lat, rng)):
+            gens = [tuple(m) for m in realize(w).gens]
+            assert lcm_closure(gens) == set(gens) and len(set(gens)) == lat.n
+            assert divisibility_matrix(gens) == lat.leq.tolist()
+            assert standard_weights(gens) == (w.bottom, list(w.weights))
 
 
 def _polarized_columns(labeling):
