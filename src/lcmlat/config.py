@@ -23,7 +23,7 @@ class Config:
     element_cap: int = 4096
     # hard cap on characteristic poset points
     poset_cap: int = 20000
-    # hard cap on Taylor complex subsets (2**n_generators)
+    # hard cap on the Lyubeznik faces one Betti table enumerates
     subset_cap: int = 2 ** 14
     # "Q" for exact rationals, ("GF", p) for a prime field
     field: object = "Q"

@@ -14,7 +14,7 @@ member or dict key for the other.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add, le, or_, sub
@@ -281,12 +281,6 @@ def _interval_masks(points):
 class LcmLattice:
     lattice: Semilattice
     monomials: tuple
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def index_of(self, m: Monomial):
-        if not self._index:
-            self._index.update({mo: i for i, mo in enumerate(self.monomials)})
-        return self._index.get(m)
 
 
 def lcm_semilattice(gens: GeneratorSet, config: Config = DEFAULT) -> LcmLattice:

@@ -1,17 +1,43 @@
-"""Betti numbers of monomial quotients through the Taylor complex.
+"""Betti numbers of monomial quotients through the Lyubeznik subcomplex of
+the Taylor complex.
 
-The complex lives on subsets of the combined generator list; the subsets
-lying entirely inside the denominator's generators span a subcomplex, and
-the quotient complex resolves I/J.  Tensoring with the residue field keeps
-exactly the boundary entries between subsets with equal lcm, so the complex
-splits into one block per lcm-lattice element and subset size (the
-multidegree grading).  The Betti numbers are coranks of these small sign
-blocks, computed exactly: over the rationals by integer elimination that
-keeps every row primitive, or modulo a prime.
+The vertices are J's distinct generators v_0, ..., v_{r-1}, then I's
+generators outside J.  A face {i_1 < ... < i_k} is admissible when, for every
+t < k, no vertex of index below i_t divides lcm(v_{i_t}, ..., v_{i_k}).  The
+admissible faces with a vertex outside J, labelled by their lcms, form a
+free resolution of I/J:
+
+1. The admissible faces are closed under removal.  Dropping a vertex leaves
+   the later tails alone and shrinks the earlier tail lcms, which keeps them
+   free of smaller divisors, and the new last vertex carries no condition.
+2. For each monomial m, the admissible faces whose lcm divides m form a cone
+   with apex q, the least index with v_q | m: adding q to such a face F
+   keeps it admissible, as a vertex below q dividing the new lcm would
+   divide m.  So every such subcomplex is empty or contractible, and by the
+   Bayer-Peeva-Sturmfels criterion the admissible faces resolve the ideal
+   their vertices generate, which is I.  Nothing here asks the generators
+   to be minimal or distinct.
+3. With J's generators first, the admissible faces inside J are exactly J's
+   own Lyubeznik complex, so they resolve J.  The inclusion lifts J into I,
+   and by the long exact sequence of 0 -> J's complex -> the whole -> the
+   quotient -> 0, the quotient complex on the faces with a vertex outside J
+   resolves I/J, as the quotient Taylor complex does.
+
+A face with a vertex outside J has its last vertex outside J, so the faces
+are grown from those singletons by putting a smaller index in front, and no
+face inside J is ever built.  Tensoring with the residue field keeps exactly
+the boundary entries between faces with equal lcm, so the complex splits into
+one block per lcm-lattice element and face size (the multidegree grading).
+The Betti numbers are coranks of these small sign blocks, computed exactly:
+over the rationals by integer elimination that keeps every row primitive, or
+modulo a prime.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from math import gcd
+from operator import and_, getitem, or_
 
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, LimitExceeded, NotSurjective
@@ -92,27 +118,58 @@ class BettiTable:
         }
 
 
+def lyubeznik_faces(pair: QuotientPair, config: Config = DEFAULT):
+    """(verts, groups): the vertex order and the Lyubeznik faces not inside J.
+
+    verts lists J's distinct generators, then I's generators outside J.
+    groups maps (lcm, size) to the bitmasks of the admissible faces with a
+    vertex outside J.  Work stops once more than config.subset_cap faces
+    are found.
+    """
+    jgens = dict.fromkeys(pair.j.gens)
+    verts = (*jgens, *(g for g in pair.i.gens if g not in jgens))
+    # below[j][e]: the vertices whose exponent in variable j is at most e
+    below = []
+    for col in zip(*verts):
+        at = [0] * (max(col) + 1)
+        for i, e in enumerate(col):
+            at[e] |= 1 << i
+        below.append(list(accumulate(at, or_)))
+
+    def dividing(lcm):
+        return reduce(and_, map(getitem, below, lcm), (1 << len(verts)) - 1)
+
+    groups = {}
+    found = 0
+    stack = [(1 << i, verts[i], i, dividing(verts[i])) for i in range(len(jgens), len(verts))]
+    while stack:
+        mask, lcm, first, divs = stack.pop()
+        found += 1
+        if found > config.subset_cap:
+            raise LimitExceeded(f"more than {config.subset_cap} Lyubeznik faces")
+        groups.setdefault((lcm, mask.bit_count()), []).append(mask)
+        # a new first vertex i is admissible when no vertex below i divides
+        # the new lcm; the apex, the least vertex dividing lcm, always is, and
+        # no vertex between it and the face's first one can be
+        apex = (divs & -divs).bit_length() - 1
+        if apex < first:
+            stack.append((mask | 1 << apex, lcm, apex, divs))
+        for i in range(apex):
+            new = tuple(map(max, verts[i], lcm))
+            d = dividing(new)
+            if not d & ((1 << i) - 1):
+                stack.append((mask | 1 << i, new, i, d))
+    return verts, groups
+
+
 def taylor_betti(pair: QuotientPair, config: Config = DEFAULT) -> BettiTable:
     """Betti numbers, projective dimension and depth of I/J."""
     pair.require_proper()
-    jset = set(pair.j.gens)
-    verts = union_generators(pair).gens
     nvars = pair.i.nvars
+    verts, groups = lyubeznik_faces(pair, config)
     n = len(verts)
-    if 1 << n > config.subset_cap:
-        raise LimitExceeded(f"2^{n} subsets exceed cap {config.subset_cap}")
-    jmask = sum(1 << i for i, g in enumerate(verts) if g in jset)
 
-    # the subsets not inside J, grouped by multidegree: (lcm, size) -> masks
-    lcm_of = [(0,) * nvars] * (1 << n)
-    groups = {}
-    for m in range(1, 1 << n):
-        low = m & -m
-        lcm_of[m] = tuple(map(max, lcm_of[m ^ low], verts[low.bit_length() - 1]))
-        if m & ~jmask:
-            groups.setdefault((lcm_of[m], m.bit_count()), []).append(m)
-
-    count = [0] * (n + 2)  # count[k]: subsets of size k outside J
+    count = [0] * (n + 2)  # count[k]: faces of size k
     ranks = [0] * (n + 2)  # ranks[k]: rank of the differential out of size k
     for (lcm, k), cols in groups.items():
         count[k] += len(cols)

@@ -3,10 +3,11 @@
 Everything here is deliberately naive and shares no algorithmic structure
 with the package: partitions are enumerated recursively over explicit point
 sets, ranks are computed over exact fractions or by plain elimination mod p,
-Betti numbers come from the full, unblocked Taylor complex, census families
-are produced by filtering the full powerset, associated primes come from
-a grid scan of colon ideals, and lcm closures and standard weights are taken
-on plain exponent tuples, pair by pair.  Results are compared against the
+Betti numbers come from the full, unblocked Taylor complex or from the
+order complexes of lcm-lattice intervals, Lyubeznik faces and census
+families are produced by filtering the full powerset, associated primes come
+from a grid scan of colon ideals, and lcm closures and standard weights are
+taken on plain exponent tuples, pair by pair.  Results are compared against the
 fast implementations and frozen where the suite needs literal constants.
 """
 
@@ -160,18 +161,20 @@ def first_found_witness(points, ceiling):
 
 
 def rank_fraction(rows, ncols):
-    mat = [[Fraction(x) for x in r] for r in rows]
+    mat = [list(r) for r in rows]
     rank = 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
+        support = [c for c in range(col, ncols) if mat[rank][c]]
         for r in range(rank + 1, len(mat)):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [mat[r][c] - f * mat[rank][c] for c in range(ncols)]
+            if mat[r][col]:
+                f = Fraction(mat[r][col], mat[rank][col])
+                f = f.numerator if f.denominator == 1 else f  # stay on ints when exact
+                for c in support:
+                    mat[r][c] -= f * mat[rank][c]
         rank += 1
         if rank == len(mat):
             break
@@ -188,10 +191,12 @@ def rank_mod(rows, ncols, p):
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inv = pow(mat[rank][col], p - 2, p)
+        support = [c for c in range(col, ncols) if mat[rank][c]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 f = mat[r][col] * inv % p
-                mat[r] = [(mat[r][c] - f * mat[rank][c]) % p for c in range(ncols)]
+                for c in support:
+                    mat[r][c] = (mat[r][c] - f * mat[rank][c]) % p
         rank += 1
     return rank
 
@@ -243,6 +248,84 @@ def taylor_betti_dense(gens_i, gens_j, p=None):
     while betti and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
+
+
+def lyubeznik_faces_by_definition(verts, in_j):
+    """{face: lcm} over every subset of the ordered vertex list that is admissible
+    and has a vertex outside in_j.
+
+    Faces are increasing index tuples.  A face (i_1, ..., i_k) is admissible
+    when, for every t < k, no vertex of index below i_t divides the lcm of
+    verts[i_t], ..., verts[i_k].
+    """
+    verts = [tuple(v) for v in verts]
+    n = len(verts)
+
+    def lcm(face):
+        return tuple(max(verts[v][c] for v in face) for c in range(len(verts[0])))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    faces = {}
+    for bits in product((0, 1), repeat=n):
+        face = tuple(v for v in range(n) if bits[v])
+        if not face or all(verts[v] in in_j for v in face):
+            continue
+        if all(not divides(verts[q], lcm(face[t:]))
+               for t in range(len(face) - 1) for q in range(face[t])):
+            faces[face] = lcm(face)
+    return faces
+
+
+# ---------------- Betti numbers from the lcm-lattice ----------------
+
+
+def lcm_lattice_betti(gens, p=None):
+    """Betti numbers of S/I from the lcm-lattice of its minimal generators.
+
+    Gasharov-Peeva-Welker: beta_i(S/I) is the sum, over the lcms m of
+    non-empty generator subsets, of dim H~_{i-2}(Delta(1, m)), the reduced
+    homology of the order complex of the lcms strictly dividing m; beta_0 = 1
+    comes from m = 1.  The order complex has one face per chain, the empty
+    chain included, and its boundaries are ranked over Q (p None) or GF(p).
+    gens: exponent tuples of a proper monomial ideal.
+    """
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    gens = {tuple(g) for g in gens}
+    gens = [g for g in gens if not any(h != g and divides(h, g) for h in gens)]
+    lattice = lcm_closure(gens)
+    betti = {0: 1}
+    for m in lattice:
+        below = sorted((x for x in lattice if x != m and divides(x, m)), key=sum)
+        chains = {0: [()]}  # by length
+        for x in below:
+            for k in sorted(chains, reverse=True):
+                chains.setdefault(k + 1, []).extend(
+                    c + (x,) for c in chains[k] if not c or divides(c[-1], x))
+
+        def boundary_rank(k):
+            """Rank of the boundary from the chains of length k to those of length k-1."""
+            if k not in chains or k - 1 not in chains:
+                return 0
+            rows = {c: r for r, c in enumerate(chains[k - 1])}
+            matrix = [[0] * len(chains[k]) for _ in rows]
+            for col, c in enumerate(chains[k]):
+                for t in range(k):
+                    matrix[rows[c[:t] + c[t + 1:]]][col] = (-1) ** t
+            if p is None:
+                return rank_fraction(matrix, len(chains[k]))
+            return rank_mod(matrix, len(chains[k]), p)
+
+        for k in chains:  # H~ in dimension k - 1, counted in beta_{k+1}
+            h = len(chains[k]) - boundary_rank(k) - boundary_rank(k + 1)
+            betti[k + 1] = betti.get(k + 1, 0) + h
+    out = [betti.get(i, 0) for i in range(max(betti) + 1)]
+    while out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 # ---------------- census oracle: intersection-closed atom-set families ----------------

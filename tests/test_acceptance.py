@@ -219,8 +219,7 @@ def test_criterion_06_realizability_roundtrips():
         wm = weight_map(real)
         assert wm.bottom == w.bottom
         for x in range(lat.n):
-            ix = lam.index_of(real.gens[x])
-            assert ix is not None
+            ix = lam.monomials.index(real.gens[x])
             assert wm.weights[ix] == w.weights[x]
     _finish(6, "200 realizability roundtrips", t0, 120)
 
@@ -254,9 +253,8 @@ def test_criterion_07_monotone_maps():
         lb = lcm_semilattice(union_generators(pb))
         transported = [None] * la.lattice.n
         for x in range(src_lat.n):
-            ia = la.index_of(ra.gens[x])
-            ib = lb.index_of(rb.gens[image[x]])
-            assert ia is not None and ib is not None
+            ia = la.monomials.index(ra.gens[x])
+            ib = lb.monomials.index(rb.gens[image[x]])
             transported[ia] = ib
         assert None not in transported
 

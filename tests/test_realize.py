@@ -225,7 +225,7 @@ def test_equalize_degrees_two_chain_example():
                                        parse_monomial("y*z", ("x", "y", "z"))])
     lam = lcm_semilattice(g)
     w = weight_map(g)
-    anti = [lam.index_of(g.gens[0]), lam.index_of(g.gens[1])]
+    anti = [lam.monomials.index(g.gens[0]), lam.monomials.index(g.gens[1])]
     w2 = equalize_degrees(w, anti)
     real = realize(w2)
     degs = {real.gens[a].degree() for a in anti}

@@ -1,4 +1,7 @@
+import json
+import os
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -8,9 +11,14 @@ from lcmlat import (
     EmptyModule,
     GeneratorSet,
     InvalidInput,
+    LimitExceeded,
     Monomial,
     NotSurjective,
     QuotientPair,
+    canonical_realization,
+    chain_weighting,
+    enumerate_atomistic,
+    gens_from_json,
     ideal_pair,
     lcm_semilattice,
     parse_monomial,
@@ -20,12 +28,19 @@ from lcmlat import (
     radical,
     rank_exact,
     rank_mod_p,
+    realize,
     taylor_betti,
     union_generators,
 )
 from lcmlat.config import Config
+from lcmlat.resolution import lyubeznik_faces
 
-from oracles import rank_fraction, taylor_betti_dense
+from oracles import (
+    lcm_lattice_betti,
+    lyubeznik_faces_by_definition,
+    rank_fraction,
+    taylor_betti_dense,
+)
 
 
 def _gens(names, *monos):
@@ -190,18 +205,175 @@ def test_betti_matches_dense_oracle(rng):
                 )
 
 
+def _awkward_denominators(pair):
+    """The pair, then J grown by a multiple of a J generator (J no longer
+    minimal) and by an I generator (shared by I and J), while I/J stays non-zero."""
+    out = [pair]
+    g = pair.j.gens[0]
+    grown = QuotientPair(pair.i, GeneratorSet(pair.variables, pair.j.gens + (g.mul(g),)))
+    out.append(grown)
+    for h in pair.i.gens:
+        shared = QuotientPair(pair.i, GeneratorSet(pair.variables, grown.j.gens + (h,)))
+        if shared.is_proper():
+            out.append(shared)
+            break
+    return out
+
+
 def test_quotient_pair_betti_matches_dense_oracle(rng):
     from conftest import random_proper_pair
 
-    checked = 0
+    checked = shared = 0
     while checked < 25:
         pair = random_proper_pair(rng, max_vars=4, max_gens=4, max_exp=2)
         if not pair.j.gens:
             continue
         checked += 1
-        for field, p in _FIELDS:
-            table = taylor_betti(pair, Config(field=field))
-            assert table.betti == taylor_betti_dense(_exps(pair.i), _exps(pair.j), p)
+        for variant in _awkward_denominators(pair):
+            shared += bool(set(variant.i.gens) & set(variant.j.gens))
+            for field, p in _FIELDS:
+                table = taylor_betti(variant, Config(field=field))
+                assert table.betti == taylor_betti_dense(
+                    _exps(variant.i), _exps(variant.j), p
+                )
+    assert shared >= 10
+
+
+# ---------------- the Lyubeznik faces ----------------
+
+
+def _faces(verts, groups):
+    """{face: lcm}, faces as increasing index tuples, after checking each group's size."""
+    out = {}
+    for (lcm, k), masks in groups.items():
+        for mask in masks:
+            face = tuple(i for i in range(len(verts)) if mask >> i & 1)
+            assert len(face) == k and face not in out
+            out[face] = tuple(lcm)
+    return out
+
+
+def test_lyubeznik_faces_match_definition(rng):
+    from conftest import random_ideal, random_proper_pair
+
+    pairs = []
+    for _ in range(20):
+        gens = random_ideal(rng, max_vars=4, max_gens=7, max_exp=2)
+        pairs += [ideal_pair(gens), quotient_ring_pair(gens)]
+    while len(pairs) < 60:
+        pair = random_proper_pair(rng, max_vars=4, max_gens=4, max_exp=2)
+        if pair.j.gens:
+            pairs += _awkward_denominators(pair)
+    for pair in pairs:
+        verts, groups = lyubeznik_faces(pair)
+        jset = set(pair.j.gens)
+        nj = len(jset)
+        # J's distinct generators lead, then I's generators outside J
+        assert set(verts[:nj]) == jset
+        assert list(verts[nj:]) == [g for g in pair.i.gens if g not in jset]
+        want = lyubeznik_faces_by_definition([v.exps for v in verts], jset)
+        assert _faces(verts, groups) == want
+
+
+def test_betti_independent_of_generator_order():
+    gens = _gens(("a", "b", "c", "d"), "a^2*b", "a*b*c", "b^2*d", "a*c*d", "c^2*d",
+                 "a*d^2", "b*c*d")
+    shuffles = ((6, 5, 4, 3, 2, 1, 0), (3, 0, 6, 1, 4, 2, 5), (2, 4, 0, 5, 1, 6, 3))
+    face_sets = set()
+    for order in shuffles:
+        shuffled = GeneratorSet(gens.variables, [gens.gens[i] for i in order])
+        for field in ("Q", ("GF", 2)):
+            cfg = Config(field=field)
+            assert taylor_betti(ideal_pair(shuffled), cfg).betti == \
+                taylor_betti(ideal_pair(gens), cfg).betti
+            assert taylor_betti(quotient_ring_pair(shuffled), cfg).betti == \
+                taylor_betti(quotient_ring_pair(gens), cfg).betti
+        verts, groups = lyubeznik_faces(ideal_pair(shuffled))
+        face_sets.add(frozenset(
+            frozenset(verts[i] for i in face) for face in _faces(verts, groups)
+        ))
+    assert len(face_sets) == len(shuffles)
+
+
+def test_subset_cap_bounds_the_faces():
+    gens = _gens(("a", "b", "c", "d"), "a^2*b", "a*b*c", "b^2*d", "a*c*d", "c^2*d")
+    pair = quotient_ring_pair(gens)
+    found = sum(map(len, lyubeznik_faces(pair)[1].values()))
+    assert found < 2 ** len(gens.gens)
+    want = taylor_betti(pair).betti
+    assert taylor_betti(pair, Config(subset_cap=found)).betti == want
+    with pytest.raises(LimitExceeded):
+        taylor_betti(pair, Config(subset_cap=found - 1))
+
+
+# the first 14-generator equal-degree ideal of the benchmark's candidate
+# stream; S/I has 2^15 Taylor subsets, past the default cap, and 1216
+# Lyubeznik faces in this generator order
+A14 = {
+    "variables": ["a", "b", "c", "d"],
+    "generators": [
+        [0, 0, 0, 3], [0, 0, 3, 0], [0, 3, 0, 0], [0, 0, 1, 2], [0, 1, 2, 0],
+        [0, 1, 0, 2], [2, 1, 0, 0], [0, 2, 0, 1], [0, 0, 2, 1], [1, 1, 1, 0],
+        [2, 0, 1, 0], [1, 0, 2, 0], [1, 2, 0, 0], [1, 1, 0, 1],
+    ],
+}
+
+
+def test_fourteen_generators_within_the_cap(tmp_path, capsys, monkeypatch):
+    from lcmlat import cli
+
+    pair = quotient_ring_pair(gens_from_json(A14))
+    for field in ("Q", ("GF", 32003)):
+        assert taylor_betti(pair, Config(field=field)).betti == (1, 14, 27, 19, 5)
+    src = tmp_path / "a14.json"
+    src.write_text(json.dumps(A14))
+    argv = ["betti", str(src), "--module", "quotient-ring"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == [1, 14, 27, 19, 5]
+    # one face short of the count, the same query stops with exit 2; the CLI
+    # minimalizes the pair, which reorders the generators and so the faces
+    found = sum(map(len, lyubeznik_faces(pair.minimalize())[1].values()))
+    config = cli._config
+    monkeypatch.setattr(cli, "_config", lambda args: replace(config(args), subset_cap=found - 1))
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("limit:")
+
+
+# ---------------- the lcm-lattice engine ----------------
+
+
+def _check_lcm_lattice_engine(gens):
+    for field, p in (("Q", None), (("GF", 2), 2)):
+        cfg = Config(field=field)
+        want = lcm_lattice_betti(_exps(gens), p)
+        assert taylor_betti(quotient_ring_pair(gens), cfg).betti == want
+        assert taylor_betti(ideal_pair(gens), cfg).betti == want[1:]
+
+
+# LCMLAT_BETTI_ATOMS=5 runs the whole 5-atom census (7443 classes)
+CENSUS_ATOMS = int(os.environ.get("LCMLAT_BETTI_ATOMS", "4"))
+
+
+def test_lcm_lattice_engine_on_the_census():
+    cfg = Config(atom_cap=CENSUS_ATOMS, long_run=True)
+    classes = 0
+    for _, lat in enumerate_atomistic(CENSUS_ATOMS, cfg):
+        classes += 1
+        _check_lcm_lattice_engine(realize(chain_weighting(lat)))
+        _check_lcm_lattice_engine(canonical_realization(lat))
+    assert classes == {4: 50, 5: 7443}.get(CENSUS_ATOMS, classes)
+
+
+def test_lcm_lattice_engine_on_random_ideals():
+    from conftest import random_ideal
+
+    rng = random.Random(20261019)
+    for _ in range(200):
+        _check_lcm_lattice_engine(random_ideal(rng, max_vars=4, max_gens=6, max_exp=3))
 
 
 def test_real_projective_plane_depends_on_characteristic():
@@ -267,8 +439,7 @@ def _iso_image(pair_a, pair_b):
         t = ub.gens[sub[0]]
         for i in sub[1:]:
             t = t.lcm(ub.gens[i])
-        image.append(lb.index_of(t))
-    assert None not in image
+        image.append(lb.monomials.index(t))
     return image
 
 
@@ -310,8 +481,7 @@ def test_monotone_drop_under_radical():
     rpair = ideal_pair(radical(gens))
     la = lcm_semilattice(union_generators(pair))
     lb = lcm_semilattice(union_generators(rpair))
-    image = [lb.index_of(m.radical()) for m in la.monomials]
-    assert None not in image
+    image = [lb.monomials.index(m.radical()) for m in la.monomials]
     check = pdim_pair_invariance(pair, rpair, image)
     assert not check.bijective
     assert check.pdim_source >= check.pdim_target
@@ -346,8 +516,7 @@ def test_invariance_rejects_denominator_mismatch():
     pair_b = ideal_pair(i)
     la = lcm_semilattice(union_generators(pair_a))
     lb = lcm_semilattice(union_generators(pair_b))
-    image = [lb.index_of(m) for m in la.monomials]
-    assert None not in image
+    image = [lb.monomials.index(m) for m in la.monomials]
     with pytest.raises(InvalidInput):
         pdim_pair_invariance(pair_a, pair_b, image)
 
