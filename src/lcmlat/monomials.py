@@ -333,9 +333,9 @@ def weight_map(gens: GeneratorSet, config: Config = DEFAULT) -> Weighting:
         if m == top:
             weights.append(Monomial.one(gens.nvars))
             continue
-        above = _bits(lat.upper_masks[m] & ~(1 << m))
-        g = reduce(Monomial.gcd, (monos[q] for q in above))
-        weights.append(g.div(monos[m]))
+        # the gcd of the elements strictly above m, divided by m
+        above = [monos[q] for q in _bits(lat.upper_masks[m] & ~(1 << m))]
+        weights.append(tuple.__new__(Monomial, map(sub, map(min, zip(*above)), monos[m])))
     bottom = gens.gcd_of_gens()
     return Weighting(lat, gens.variables, bottom, tuple(weights), monos)
 

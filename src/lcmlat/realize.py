@@ -9,7 +9,9 @@ weight map.  Both halves of that round trip are checked here, on the
 generators themselves and element for element: they are distinct, the lcm of
 each incomparable pair is one of them, they divide each other exactly as the
 order says, and their bottom and standard weights are the given ones.  That
-is all a rebuilt lcm-semilattice could show, so none is built.
+is all a rebuilt lcm-semilattice could show, so none is built.  A passed
+round trip shows the weighting realizable, so realize tests the conditions
+only when it fails, to name the broken one.
 """
 
 from operator import sub
@@ -30,11 +32,15 @@ from .monomials import (
 )
 
 
+def _check_count(w):
+    if len(w.weights) != w.lattice.n:
+        raise InvalidInput("one weight per element is required")
+
+
 def validate_weighting(w: Weighting):
     """(ok, witness) for the two realizability conditions on w's lattice."""
+    _check_count(w)
     lat = w.lattice
-    if len(w.weights) != lat.n:
-        raise InvalidInput("one weight per element is required")
     if not w.weights[lat.top].is_unit():
         return False, f"top element {lat.labels[lat.top]} must carry weight 1"
     for m in lat.meet_irreducibles:
@@ -57,12 +63,21 @@ def validate_weighting(w: Weighting):
 
 def realize(w: Weighting) -> GeneratorSet:
     """Invert a weighting into monomials, generator i for element i, and
-    check the round trip."""
-    ok, witness = validate_weighting(w)
-    if not ok:
-        raise InvalidWeighting(witness)
-    gens = GeneratorSet(w.variables, [reconstruct(w, m) for m in range(w.lattice.n)])
-    _check_roundtrip(w, gens)
+    check the round trip.
+
+    When any step fails, the realizability conditions are checked, and their
+    verdict comes first: InvalidWeighting with validate_weighting's witness,
+    or else the failure itself.
+    """
+    _check_count(w)
+    try:
+        gens = GeneratorSet(w.variables, [reconstruct(w, m) for m in range(w.lattice.n)])
+        _check_roundtrip(w, gens)
+    except (InvalidInput, InternalError):
+        ok, witness = validate_weighting(w)
+        if not ok:
+            raise InvalidWeighting(witness) from None
+        raise
     return gens
 
 

@@ -16,11 +16,19 @@ would be without them.  A state is dead when some uncovered point p below the
 last top, of ceiling count under the target, has no top q of count at least
 the target with the whole interval [p, q] uncovered: any interval that later
 covers p contains [p, q] for its top q, and only points below the last top
-can lose such a q.  A dead state goes to the fail cache like an exhausted
-one; each point's last free top is tested first.  The Hilbert depth
+can lose such a q.  Only tops at the target level are tried: lowering a
+free top q by one on a coordinate where q sits at the ceiling and p does
+not gives a free top one count lower.  A dead state goes to the fail cache
+like an exhausted one; each point's last free interval is tested first, and
+the points nearest the last top before the others.  The Hilbert depth
 (Bruns-Krattenthaler-Uliczka) of the polarized box bounds Stanley depth from
 above, so the search that would fail one level higher is skipped when the
 bound is reached.
+
+A top above a covered point can give no free interval, so the tops of a new
+bottom leave out the up-sets of its minimal covered points above it before
+any interval is built.  Neither this nor the level of the free-top test
+changes a frame the search pushes or the partition it finds.
 
 sdepth_solve runs that one search per target, so its witness is the first
 partition found.  sdepth_value, for callers that need the number alone, also
@@ -133,30 +141,32 @@ def _cover_steps(target, full, up, down, level, budget):
     from the highest level down, lowest index first.  The first bottom is the
     least point of `full`.  Each frame of the one explicit stack is
     (uncovered, a, above, r, pending): the state, its bottom, the uncovered
-    points above it, the level walked and the tops of that level not yet
-    tried.  Dead and exhausted states go to the fail cache.  Pushing more
-    than `budget` frames raises LimitExceeded.
+    points above it and above no covered point of `full`, the level walked
+    and the tops of that level not yet tried.  Dead and exhausted states go
+    to the fail cache.  Pushing more than `budget` frames raises
+    LimitExceeded.
     """
     high = 0
     for m in level[target:]:
         high |= m
     low = full & ~high  # the points that need a top above them
-    good = [-1] * len(up)  # the last top found free above each low point
+    exact = level[target]  # a free top higher than this drops to it
+    free = [-1] * len(up)  # the last free interval above each low point; -1: none
     fail = set()
 
     def dead(rest, b):
         short = down[b] & rest & low
-        while short:
-            p = (short & -short).bit_length() - 1
-            short &= short - 1
-            q = good[p]
-            if q >= 0 and up[p] & down[q] & ~rest == 0:
+        while short:  # nearest the new cover first
+            p = short.bit_length() - 1
+            short ^= 1 << p
+            if free[p] & ~rest == 0:
                 continue
-            tops = up[p] & rest & high
+            tops = up[p] & rest & exact
             while tops:
                 q = (tops & -tops).bit_length() - 1
-                if up[p] & down[q] & ~rest == 0:
-                    good[p] = q
+                span = up[p] & down[q]
+                if span & ~rest == 0:
+                    free[p] = span
                     break
                 tops &= tops - 1
             else:
@@ -208,7 +218,13 @@ def _cover_steps(target, full, up, down, level, budget):
         frames.append((uncovered, a, above, r, pending))
         uncovered = rest
         a = (rest & -rest).bit_length() - 1
-        above = up[a] & rest
+        inside = up[a] & full & ~rest  # covered: no top above them is free
+        blocked = 0
+        while inside:  # once per minimal covered point
+            x = up[(inside & -inside).bit_length() - 1]
+            blocked |= x
+            inside &= ~x
+        above = up[a] & rest & ~blocked
         r = top
         pending = above & level[r]
         if not pushed % _SLICE:

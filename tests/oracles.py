@@ -107,16 +107,15 @@ def polarized_hilbert_cap(pair):
     return len(g) - big + depth
 
 
-def first_found_witness(points, ceiling):
-    """The first partition a plain depth-first search finds, as (bottom, top) pairs.
+def first_found_cover(points, ceiling, target, keep=None):
+    """The first partition of `keep` (default: all the points) that a plain
+    depth-first search finds, as (bottom, top) pairs; None when there is none.
 
-    Points are taken in (degree, lex) order.  For each target from one above
-    the lowest ceiling count up to the least, over the points p, of the
-    highest count above p, the search covers the least uncovered point a by
-    an interval [a, b] of uncovered points, trying the tops b of count at
-    least the target from the highest count down and in point order within a
-    count, and recurses on the rest.  The partition of the last target that
-    succeeds is returned; singletons when none does.
+    Points are taken in (degree, lex) order.  The search covers the least
+    uncovered point a by an interval [a, b] of the points, all of them
+    uncovered points of `keep`, trying the tops b of count at least `target`
+    from the highest count down and in point order within a count, and
+    recurses on the rest.
     """
     pts = sorted(points, key=lambda c: (sum(c), c))
     order = {p: i for i, p in enumerate(pts)}
@@ -128,7 +127,9 @@ def first_found_witness(points, ceiling):
     def rho(b):
         return sum(1 for j in range(n) if b[j] == ceiling[j])
 
-    def search(uncovered, target, failed):
+    failed = set()
+
+    def search(uncovered):
         if not uncovered:
             return []
         if uncovered in failed:
@@ -140,17 +141,35 @@ def first_found_witness(points, ceiling):
             block = [p for p in pts if leq(a, p) and leq(p, b)]
             if all(p in uncovered for p in block):
                 rest = tuple(p for p in uncovered if p not in block)
-                found = search(rest, target, failed)
+                found = search(rest)
                 if found is not None:
                     return [(a, b)] + found
         failed.add(uncovered)
         return None
 
+    kept = set(pts if keep is None else keep)
+    return search(tuple(p for p in pts if p in kept))
+
+
+def first_found_witness(points, ceiling):
+    """The partition first_found_cover finds for the highest target it can
+    reach, as (bottom, top) pairs.
+
+    The targets run from one above the lowest ceiling count up to the least,
+    over the points p, of the highest count above p, and stop at the first
+    that fails; singletons when none succeeds.
+    """
+    pts = sorted(points, key=lambda c: (sum(c), c))
+    n = len(ceiling)
+
+    def rho(b):
+        return sum(1 for j in range(n) if b[j] == ceiling[j])
+
     witness = [(p, p) for p in pts]
     lowest = min(rho(p) for p in pts)
-    cap = min(max(rho(q) for q in pts if leq(p, q)) for p in pts)
+    cap = min(max(rho(q) for q in pts if all(x <= y for x, y in zip(p, q))) for p in pts)
     for target in range(lowest + 1, cap + 1):
-        found = search(tuple(pts), target, set())
+        found = first_found_cover(pts, ceiling, target)
         if found is None:
             break
         witness = found

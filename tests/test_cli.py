@@ -515,6 +515,16 @@ def test_classify_golden_stdout(capsys):
     assert out == (GOLDEN / "classify_atoms4.jsonl").read_text()
 
 
+@pytest.mark.parametrize("module", ["ideal", "quotient-ring"])
+@pytest.mark.parametrize("name", ["a7_8", "b8_0", "a8_12"])
+def test_sdepth_golden_stdout(capsys, name, module):
+    # ideals-pool documents whose searches backtrack deeply: witness byte for byte
+    code, out, err = _run(["sdepth", str(GOLDEN / f"ideal_{name}.json"), "--module", module],
+                          capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / f"ideal_{name}.sdepth_{module}.json").read_text()
+
+
 @pytest.mark.parametrize("atoms", ["0", "-1", "-7"])
 def test_classify_rejects_an_atom_count_below_1(capsys, atoms):
     # bad input while parsing the arguments, not a resource limit

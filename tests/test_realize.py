@@ -203,6 +203,43 @@ def test_realization_is_its_own_lcm_lattice_by_oracle(rng):
             assert standard_weights(gens) == (w.bottom, list(w.weights))
 
 
+def _perturbed(w, rng):
+    """w with one weight changed: a variable raised, the unit, or an lcm with another."""
+    weights = list(w.weights)
+    x = rng.randrange(len(weights))
+    kind = rng.randrange(3) if w.variables else 1
+    if kind == 0:
+        t = rng.randrange(len(w.variables))
+        weights[x] = Monomial([e + (j == t) for j, e in enumerate(weights[x])])
+    elif kind == 1:
+        weights[x] = Monomial.one(len(w.variables))
+    else:
+        weights[x] = weights[x].lcm(weights[rng.randrange(len(weights))])
+    return Weighting(w.lattice, w.variables, w.bottom, tuple(weights))
+
+
+def test_realize_rejects_exactly_the_invalid_weightings(rng):
+    # realize checks the conditions only when the round trip fails; it must
+    # still refuse exactly what validate_weighting refuses, with its witness
+    from lcmlat import random_weighting
+
+    witnesses = set()
+    valid = 0
+    for lat in _small_lattices():
+        for w in (chain_weighting(lat), random_weighting(lat, rng), random_weighting(lat, rng)):
+            for v in (w, _perturbed(w, rng), _perturbed(_perturbed(w, rng), rng)):
+                ok, witness = validate_weighting(v)
+                if ok:
+                    valid += 1
+                    assert len(realize(v)) == lat.n
+                    continue
+                with pytest.raises(InvalidWeighting) as info:
+                    realize(v)
+                assert str(info.value) == witness
+                witnesses.add(witness.split()[0])
+    assert valid > 100 and witnesses == {"top", "meet-irreducible", "incomparable"}
+
+
 def _polarized_columns(labeling):
     """Per variable of exponent up to d, its d polarized columns: x^e -> x_1 ... x_e."""
     cols = []

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from lcmlat import (
     Monomial,
     QuotientPair,
     characteristic_poset,
+    gens_from_json,
     ideal_pair,
     parse_monomial,
     quotient_ring_pair,
@@ -19,7 +22,10 @@ from lcmlat import (
 from lcmlat import sdepth as sdepth_module
 from lcmlat.config import DEFAULT, Config
 
-from oracles import box_points, brute_sdepth_pair, first_found_witness, polarized_hilbert_cap
+from oracles import (box_points, brute_sdepth_pair, first_found_cover, first_found_witness,
+                     polarized_hilbert_cap)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _gens(names, *monos):
@@ -391,6 +397,47 @@ def test_search_starts_at_the_least_point_of_its_set():
     covered = [up[a] & down[b] for a, b in found]
     assert sum(covered) == rest and all(c & rest == c for c in covered)
     assert found[0][0] == 1
+
+
+def test_search_on_part_of_the_poset_matches_oracle(rng):
+    # a set to cover that leaves poset points out: an interval through a left-out
+    # point is never taken, and the partition is the first one a plain search finds
+    outcomes = set()
+    for pair in _small_pairs(rng):
+        poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
+        full = sum(1 << i for i in range(poset.size) if rng.random() < 0.8)
+        if not full or full == (1 << poset.size) - 1:
+            continue
+        keep = [p for i, p in enumerate(poset.points) if full >> i & 1]
+        for target in range(1, len(level)):
+            found = sdepth_module._cover_search(target, full, up, down, level, 10**6)
+            expected = first_found_cover(poset.points, poset.ceiling, target, keep)
+            outcomes.add(found is None)
+            if found is None:
+                assert expected is None
+                continue
+            covered = 0
+            for a, b in found:
+                cover = up[a] & down[b]
+                assert cover & full == cover and not cover & covered
+                covered |= cover
+            assert covered == full
+            assert [(poset.points[a], poset.points[b]) for a, b in found] == expected
+    assert outcomes == {True, False}
+
+
+# the least frame budget each search of sdepth_solve on I needs, on
+# ideals-pool documents whose searches backtrack deeply
+_DEEP_BUDGETS = {"a7_8": 2003, "b8_0": 526, "a8_12": 8572}
+
+
+@pytest.mark.parametrize("name, need", sorted(_DEEP_BUDGETS.items()))
+def test_least_budget_on_deep_searches(name, need):
+    pair = ideal_pair(gens_from_json(json.loads((GOLDEN / f"ideal_{name}.json").read_text())))
+    report = sdepth_solve(pair, budget=need).to_json()
+    assert report == json.loads((GOLDEN / f"ideal_{name}.sdepth_ideal.json").read_text())
+    with pytest.raises(LimitExceeded):
+        sdepth_solve(pair, budget=need - 1)
 
 
 def test_colon_cap_never_below_sdepth(rng):
