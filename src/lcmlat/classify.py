@@ -8,32 +8,20 @@ boolean family visits every isomorphism class; duplicates are cut by the
 family's canonical form.  Each class is measured on a monomial realization:
 projective dimension and Stanley projective dimension of both the ideal and
 its quotient ring.  These depend on the lcm-lattice alone, so the narrowest
-realization, one variable per chain of meet-irreducibles, serves; a class
-whose Stanley-depth search there runs past a frame budget is measured on the
-squarefree canonical realization instead."""
+realization, one variable per chain of meet-irreducibles, serves."""
 
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import inf
 from operator import and_
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded, NotAtomistic
 from .lattice import Semilattice, _canon_family, boolean_semilattice, family_semilattice
 from .monomials import GeneratorSet, Monomial, Weighting, ideal_pair, quotient_ring_pair
-from .realize import canonical_realization, chain_weighting, realize
+from .realize import chain_weighting, realize
 from .resolution import taylor_betti
 from .sdepth import sdepth_value
-
-# Frames one Stanley-depth search on the chain realization may push before
-# the class falls back to the canonical realization.  With the two searches
-# of sdepth_value taking turns, no search over the 5-atom census pushes more
-# than 2 000 frames there (one slice, before the other search or the colon
-# cap settles its target) and none over the checks5 benchmark pool more than
-# 277, so no class falls back.  Run alone, the sdepth_solve search pushes up
-# to 230 615 frames on the chain searches of the census that finish.
-_CHAIN_BUDGET = 250_000
 
 
 def enumerate_atomistic(k: int, config: Config = DEFAULT):
@@ -85,7 +73,7 @@ class LatticeInvariants:
         }
 
 
-def _invariants_of_gens(gens: GeneratorSet, config: Config, budget=inf):
+def _invariants_of_gens(gens: GeneratorSet, config: Config):
     slim = gens.minimalize()
     if len(slim.gens) == 1 and slim.gens[0].degree() == 0:
         # the one-element lattice realizes as the unit ideal, whose lattice
@@ -95,8 +83,8 @@ def _invariants_of_gens(gens: GeneratorSet, config: Config, budget=inf):
     bq = taylor_betti(quotient_ring_pair(slim), config)
     if bq.pdim != bi.pdim + 1:
         raise InternalError("quotient ring must sit one step above its ideal")
-    si = sdepth_value(ideal_pair(slim), config, budget)
-    sq = sdepth_value(quotient_ring_pair(slim), config, budget)
+    si = sdepth_value(ideal_pair(slim), config)
+    sq = sdepth_value(quotient_ring_pair(slim), config)
     return LatticeInvariants(
         bi.pdim, bq.pdim, slim.nvars - si, slim.nvars - sq, slim.nvars, bq.field
     )
@@ -122,18 +110,13 @@ def random_weighting(lat: Semilattice, rng: random.Random) -> Weighting:
 def lattice_invariants(lat: Semilattice, config: Config = DEFAULT) -> LatticeInvariants:
     """Invariants of the realizations of an atomistic semilattice.
 
-    They are measured on the chain realization, or on the canonical one when
-    a search there exceeds _CHAIN_BUDGET frames; nvars is the canonical
+    They are measured on the chain realization; nvars is the canonical
     variable count, one per meet-irreducible (the one-element lattice is
     measured as a principal ideal in one variable).
     """
     if not lat.is_atomistic:
         raise NotAtomistic("invariants are defined through atomistic realizations")
-    try:
-        chain = realize(chain_weighting(lat))
-        inv = _invariants_of_gens(chain, config, _CHAIN_BUDGET)
-    except LimitExceeded:
-        inv = _invariants_of_gens(canonical_realization(lat), config)
+    inv = _invariants_of_gens(realize(chain_weighting(lat)), config)
     return replace(inv, nvars=max(len(lat.meet_irreducibles), 1))
 
 

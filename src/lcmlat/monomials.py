@@ -259,18 +259,26 @@ def union_generators(pair: QuotientPair) -> GeneratorSet:
 # ---------------- the lcm-semilattice ----------------
 
 
-def _interval_masks(points):
-    """up[i], down[i]: bitmasks of the points componentwise above and below point i."""
-    n = len(points)
-    up = [(1 << n) - 1] * n
-    down = list(up)
+def _thresholds(points):
+    """Per coordinate, (at_most, at_least): dicts from each value that occurs
+    there to the bitmasks of the points whose value is at most, at least, it."""
+    out = []
     for coord in zip(*points):
         at = {}  # per value that occurs, the points taking it
         for i, v in enumerate(coord):
             at[v] = at.get(v, 0) | 1 << i
         values = sorted(at)
-        at_most = dict(zip(values, accumulate(map(at.get, values), or_)))
-        at_least = dict(zip(values[::-1], accumulate(map(at.get, values[::-1]), or_)))
+        out.append((dict(zip(values, accumulate(map(at.get, values), or_))),
+                    dict(zip(values[::-1], accumulate(map(at.get, values[::-1]), or_)))))
+    return out
+
+
+def _interval_masks(points):
+    """up[i], down[i]: bitmasks of the points componentwise above and below point i."""
+    n = len(points)
+    up = [(1 << n) - 1] * n
+    down = list(up)
+    for coord, (at_most, at_least) in zip(zip(*points), _thresholds(points)):
         for i, v in enumerate(coord):
             up[i] &= at_least[v]
             down[i] &= at_most[v]
@@ -327,17 +335,20 @@ def weight_map(gens: GeneratorSet, config: Config = DEFAULT) -> Weighting:
     """The standard weights of a generator set's lcm-semilattice."""
     lcmlat = lcm_semilattice(gens, config)
     lat, monos = lcmlat.lattice, lcmlat.monomials
-    top = lat.top
+    weights = _standard_weights(monos, lat.upper_masks)
+    return Weighting(lat, gens.variables, gens.gcd_of_gens(), weights, monos)
+
+
+def _standard_weights(monos, upper):
+    """The standard weight of each monomial: the gcd of the monomials strictly
+    above it (upper[a], the mask of those above a or equal), divided by it; a
+    monomial with none above carries 1."""
     weights = []
-    for m in range(lat.n):
-        if m == top:
-            weights.append(Monomial.one(gens.nvars))
-            continue
-        # the gcd of the elements strictly above m, divided by m
-        above = [monos[q] for q in _bits(lat.upper_masks[m] & ~(1 << m))]
-        weights.append(tuple.__new__(Monomial, map(sub, map(min, zip(*above)), monos[m])))
-    bottom = gens.gcd_of_gens()
-    return Weighting(lat, gens.variables, bottom, tuple(weights), monos)
+    for a, ma in enumerate(monos):
+        above = [monos[b] for b in _bits(upper[a] & ~(1 << a))]
+        ceiling = map(min, zip(*above)) if above else ma
+        weights.append(tuple.__new__(Monomial, map(sub, ceiling, ma)))
+    return tuple(weights)
 
 
 def reconstruct(w: Weighting, idx: int) -> Monomial:

@@ -14,8 +14,6 @@ round trip shows the weighting realizable, so realize tests the conditions
 only when it fails, to name the broken one.
 """
 
-from operator import sub
-
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, InvalidWeighting, NotAntichain
 from .lattice import Semilattice, _bits
@@ -25,6 +23,7 @@ from .monomials import (
     QuotientPair,
     Weighting,
     _interval_masks,
+    _standard_weights,
     m_coprime,
     reconstruct,
     union_generators,
@@ -98,15 +97,8 @@ def _check_roundtrip(w, gens):
                 raise InternalError("realized monomials collide or miss the lcm-lattice")
     if tuple(up) != lat.upper_masks:
         raise InternalError("divisibility of the realization differs from the order")
-    if gens.gcd_of_gens() != w.bottom:
+    if gens.gcd_of_gens() != w.bottom or _standard_weights(labeling, up) != tuple(w.weights):
         raise InternalError("weights do not survive the round trip")
-    for a, ma in enumerate(labeling):
-        # the standard weight: the gcd of the elements strictly above a,
-        # divided by a; the top, with none above, carries 1
-        above = [labeling[b] for b in _bits(up[a] & ~(1 << a))]
-        ceiling = tuple(map(min, zip(*above))) if above else ma
-        if tuple(map(sub, ceiling, ma)) != w.weights[a]:
-            raise InternalError("weights do not survive the round trip")
 
 
 def _chains_weighting(lat: Semilattice, chains, variables) -> Weighting:

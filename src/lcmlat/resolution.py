@@ -35,14 +35,13 @@ modulo a prime.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from math import gcd
-from operator import and_, getitem, or_
+from operator import and_, getitem
 
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, LimitExceeded, NotSurjective
 from .lattice import JoinMap
-from .monomials import QuotientPair, lcm_semilattice, union_generators
+from .monomials import QuotientPair, _thresholds, lcm_semilattice, union_generators
 from .sdepth import sdepth_value
 
 
@@ -128,13 +127,9 @@ def lyubeznik_faces(pair: QuotientPair, config: Config = DEFAULT):
     """
     jgens = dict.fromkeys(pair.j.gens)
     verts = (*jgens, *(g for g in pair.i.gens if g not in jgens))
-    # below[j][e]: the vertices whose exponent in variable j is at most e
-    below = []
-    for col in zip(*verts):
-        at = [0] * (max(col) + 1)
-        for i, e in enumerate(col):
-            at[e] |= 1 << i
-        below.append(list(accumulate(at, or_)))
+    # below[j][e]: the vertices whose exponent in variable j is at most e, for
+    # each e that occurs there; an lcm of vertices takes no other exponent
+    below = [at_most for at_most, _ in _thresholds(verts)]
 
     def dividing(lcm):
         return reduce(and_, map(getitem, below, lcm), (1 << len(verts)) - 1)

@@ -30,9 +30,10 @@ bottom leave out the up-sets of its minimal covered points above it before
 any interval is built.  Neither this nor the level of the free-top test
 changes a frame the search pushes or the partition it finds.
 
-sdepth_solve runs that one search per target, so its witness is the first
-partition found.  sdepth_value, for callers that need the number alone, also
-runs a level-exact search (tops at the target level only) in alternating
+One loop tries the targets in turn, up to the first that fails, under one
+of two policies.  sdepth_solve runs that search alone, so its witness is the
+first partition found.  sdepth_value, for callers that need the number alone,
+also runs a level-exact search (tops at the target level only) in alternating
 slices with it and takes the first answer, and caps the targets of I and S/I
 by the Hilbert caps of their colons by one variable.
 
@@ -231,11 +232,6 @@ def _cover_steps(target, full, up, down, level, budget):
             yield
 
 
-def _cover_search(target, full, up, down, level, budget):
-    """A partition of `full` with every top at `target` or higher, or None."""
-    return _first_to_finish([_cover_steps(target, full, up, down, level, budget)])
-
-
 def _level_exact_steps(target, full, up, down, level, budget):
     """The search of _cover_steps with every top at level `target` exactly.
 
@@ -364,61 +360,51 @@ def _colon_cap(pair, poset, config):
     return cap
 
 
-def _verified(poset, value, witness):
-    """The witness as point pairs, once it tiles the poset at `value` or above."""
-    pts = poset.points
-    intervals = tuple((pts[a], pts[b]) for a, b in witness)
-    ok, achieved = verify_decomposition(poset, intervals)
-    if not ok or achieved < value:
-        raise InternalError(f"the witness of Stanley depth {value} does not verify")
-    return intervals
+def _decide(pair, config, budget, race):
+    """(poset, value, witness): the Stanley depth of the pair and its witness
+    as point pairs, verified to tile the poset, the targets above the least
+    ceiling count tried one by one up to the first that fails.
 
-
-def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> SdepthReport:
-    """Exact Stanley depth, its complement, and an optimal interval partition.
-
-    Each search pushes at most `budget` frames, or LimitExceeded is raised.
-    """
-    poset, level, up, down, value, tcap = _search_setup(pair, config)
-    full = (1 << poset.size) - 1
-    witness = [(i, i) for i in range(poset.size)]
-    for target in range(value + 1, tcap + 1):
-        found = _cover_search(target, full, up, down, level, budget)
-        if found is None:
-            break
-        witness = found
-        value = target
-    nvars = len(poset.variables)
-    return SdepthReport(value, nvars - value, nvars, poset.ceiling, poset.size,
-                        _verified(poset, value, witness))
-
-
-def sdepth_value(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> int:
-    """Exact Stanley depth alone, each target decided by two searches in turn.
-
-    The level-exact search (tops at the target level only) and the search of
-    sdepth_solve run in alternating slices, level-exact first; whichever ends
-    first decides, since both are complete.  A target still open after the
-    first slices is checked against the colon cap, computed once.  The
-    witness of the value found is verified like any other; each search
-    pushes at most `budget` frames, or LimitExceeded is raised.
+    Without race, the cover search alone decides each target, so the witness
+    is the first partition found.  With race, the level-exact search and the
+    cover search run in alternating slices, level-exact first; whichever ends
+    first decides, since both are complete, and a target still open after
+    the first slices is checked against the colon cap, computed once.  Each
+    search pushes at most `budget` frames, or LimitExceeded is raised.
     """
     poset, level, up, down, value, tcap = _search_setup(pair, config)
     full = (1 << poset.size) - 1
     witness = [(i, i) for i in range(poset.size)]
     colon_cap = cache(lambda: _colon_cap(pair, poset, config))
     for target in range(value + 1, tcap + 1):
-        found = _first_to_finish(
-            (_level_exact_steps(target, full, up, down, level, budget),
-             _cover_steps(target, full, up, down, level, budget)),
-            lambda: target > colon_cap(),
-        )
+        searches = [_cover_steps(target, full, up, down, level, budget)]
+        if race:
+            searches.insert(0, _level_exact_steps(target, full, up, down, level, budget))
+        found = _first_to_finish(searches, (lambda: target > colon_cap()) if race else None)
         if found is None:
             break
         witness = found
         value = target
-    _verified(poset, value, witness)
-    return value
+    pts = poset.points
+    intervals = tuple((pts[a], pts[b]) for a, b in witness)
+    ok, achieved = verify_decomposition(poset, intervals)
+    if not ok or achieved < value:
+        raise InternalError(f"the witness of Stanley depth {value} does not verify")
+    return poset, value, intervals
+
+
+def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> SdepthReport:
+    """Exact Stanley depth, its complement, and the first optimal interval
+    partition the cover search finds, run alone; see _decide for `budget`."""
+    poset, value, witness = _decide(pair, config, budget, race=False)
+    nvars = len(poset.variables)
+    return SdepthReport(value, nvars - value, nvars, poset.ceiling, poset.size, witness)
+
+
+def sdepth_value(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> int:
+    """Exact Stanley depth alone, each target raced by two searches and
+    checked against the colon cap; see _decide for `budget`."""
+    return _decide(pair, config, budget, race=True)[1]
 
 
 def verify_decomposition(poset: CharacteristicPoset, intervals):

@@ -115,7 +115,8 @@ def first_found_cover(points, ceiling, target, keep=None):
     uncovered point a by an interval [a, b] of the points, all of them
     uncovered points of `keep`, trying the tops b of count at least `target`
     from the highest count down and in point order within a count, and
-    recurses on the rest.
+    recurses on the rest.  Each point's up-set and down-set are frozensets,
+    and failed states are remembered by their sets of uncovered points.
     """
     pts = sorted(points, key=lambda c: (sum(c), c))
     order = {p: i for i, p in enumerate(pts)}
@@ -124,9 +125,9 @@ def first_found_cover(points, ceiling, target, keep=None):
     def leq(a, b):
         return all(a[j] <= b[j] for j in range(n))
 
-    def rho(b):
-        return sum(1 for j in range(n) if b[j] == ceiling[j])
-
+    rho = {b: sum(1 for j in range(n) if b[j] == ceiling[j]) for b in pts}
+    up = {p: frozenset(q for q in pts if leq(p, q)) for p in pts}
+    down = {p: frozenset(q for q in pts if leq(q, p)) for p in pts}
     failed = set()
 
     def search(uncovered):
@@ -134,21 +135,20 @@ def first_found_cover(points, ceiling, target, keep=None):
             return []
         if uncovered in failed:
             return None
-        a = uncovered[0]
-        tops = sorted((q for q in uncovered if leq(a, q) and rho(q) >= target),
-                      key=lambda q: (-rho(q), order[q]))
+        a = min(uncovered, key=order.get)
+        tops = sorted((q for q in up[a] & uncovered if rho[q] >= target),
+                      key=lambda q: (-rho[q], order[q]))
         for b in tops:
-            block = [p for p in pts if leq(a, p) and leq(p, b)]
-            if all(p in uncovered for p in block):
-                rest = tuple(p for p in uncovered if p not in block)
-                found = search(rest)
+            block = up[a] & down[b]
+            if block <= uncovered:
+                found = search(uncovered - block)
                 if found is not None:
                     return [(a, b)] + found
         failed.add(uncovered)
         return None
 
     kept = set(pts if keep is None else keep)
-    return search(tuple(p for p in pts if p in kept))
+    return search(frozenset(p for p in pts if p in kept))
 
 
 def first_found_witness(points, ceiling):

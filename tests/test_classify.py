@@ -117,34 +117,10 @@ def _canonical_route(lat):
     )
 
 
-def _fallbacks(monkeypatch):
-    """The lattices lattice_invariants hands to the canonical realization."""
-    seen = []
-
-    def spy(lat):
-        seen.append(lat)
-        return canonical_realization(lat)
-
-    monkeypatch.setattr(classify, "canonical_realization", spy)
-    return seen
-
-
-def test_chain_route_matches_canonical_route(monkeypatch):
-    fallbacks = _fallbacks(monkeypatch)
+def test_chain_route_matches_canonical_route():
     for k in range(1, 5):
         for _, lat in enumerate_atomistic(k):
             assert lattice_invariants(lat) == _canonical_route(lat)
-    assert fallbacks == []
-
-
-def test_zero_budget_falls_back_to_canonical(monkeypatch):
-    fallbacks = _fallbacks(monkeypatch)
-    monkeypatch.setattr(classify, "_CHAIN_BUDGET", 0)
-    lats = [lat for k in range(1, 5) for _, lat in enumerate_atomistic(k)]
-    for lat in lats:
-        assert lattice_invariants(lat) == _canonical_route(lat)
-    # from three atoms on, some search of every class pushes a frame
-    assert [id(lat) for lat in fallbacks] == [id(lat) for lat in lats if len(lat.atoms) >= 3]
 
 
 def test_invariants_need_atomistic():

@@ -525,6 +525,16 @@ def test_sdepth_golden_stdout(capsys, name, module):
     assert out == (GOLDEN / f"ideal_{name}.sdepth_{module}.json").read_text()
 
 
+@pytest.mark.parametrize("module", ["ideal", "quotient-ring"])
+@pytest.mark.parametrize("command", ["betti", "pdim"])
+def test_huge_exponent_golden_stdout(capsys, command, module):
+    # x^(10^12): exit 0 with the Betti numbers of (x, y), not a MemoryError
+    code, out, err = _run([command, str(GOLDEN / "huge_exponent.json"), "--module", module],
+                          capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / f"huge_exponent.{command}_{module}.json").read_text()
+
+
 @pytest.mark.parametrize("atoms", ["0", "-1", "-7"])
 def test_classify_rejects_an_atom_count_below_1(capsys, atoms):
     # bad input while parsing the arguments, not a resource limit
@@ -661,7 +671,7 @@ def test_exit_code_limit(tmp_path, capsys):
 def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     from lcmlat import sdepth
 
-    monkeypatch.setattr(sdepth, "_cover_search", lambda *args: [(0, 0)])
+    monkeypatch.setattr(sdepth, "_first_to_finish", lambda *args: [(0, 0)])
     src = _write(
         tmp_path, "i.json",
         {"variables": ["x", "y", "z"], "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},

@@ -178,20 +178,14 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
         raise SystemExit("cyclic order accepted")
     except CyclicRelation:
         pass
-    sdepth._cover_search = lambda *args: [(0, 0)]
-    try:
-        sdepth_solve(ideal_pair(GeneratorSet(
-            ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))])))
-        raise SystemExit("unverified sdepth witness accepted")
-    except InternalError:
-        pass
     sdepth._first_to_finish = lambda *args: [(0, 0)]
-    try:
-        sdepth_value(ideal_pair(GeneratorSet(
-            ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))])))
-        raise SystemExit("unverified sdepth value witness accepted")
-    except InternalError:
-        pass
+    for entry in (sdepth_solve, sdepth_value):
+        try:
+            entry(ideal_pair(GeneratorSet(
+                ("x", "y", "z"), [Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))])))
+            raise SystemExit(f"unverified sdepth witness accepted by {entry.__name__}")
+        except InternalError:
+            pass
     from lcmlat import resolution, taylor_betti
     resolution._rank = lambda rows, ncols, config: ncols + 1
     try:

@@ -157,6 +157,13 @@ def test_two_variable_quotient():
     assert table.depth == 0
 
 
+def test_huge_exponent_builds_no_table_of_its_size():
+    # the vertices' divisibility masks are indexed by the exponents that occur
+    gens = GeneratorSet(("x", "y"), [Monomial((10**12, 0)), Monomial((0, 1))])
+    assert taylor_betti(ideal_pair(gens)).betti == (2, 1)
+    assert taylor_betti(quotient_ring_pair(gens)).betti == (1, 2, 1)
+
+
 def test_pdim_shift_between_module_views(rng):
     from conftest import random_ideal
 

@@ -272,7 +272,7 @@ def test_witness_of_four_atom_lattice_is_frozen():
 
 def test_unverified_witness_raises(monkeypatch):
     # (x, y, z): the search at depth 2 returns one singleton for seven points
-    monkeypatch.setattr(sdepth_module, "_cover_search", lambda *args: [(0, 0)])
+    monkeypatch.setattr(sdepth_module, "_first_to_finish", lambda *args: [(0, 0)])
     with pytest.raises(InternalError):
         sdepth_solve(ideal_pair(_gens(("x", "y", "z"), "x", "y", "z")))
 
@@ -393,7 +393,8 @@ def test_search_starts_at_the_least_point_of_its_set():
     pair = ideal_pair(_gens(("x", "y", "z"), "x", "y", "z"))
     poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
     rest = (1 << poset.size) - 2
-    found = sdepth_module._cover_search(2, rest, up, down, level, 10**6)
+    found = sdepth_module._first_to_finish(
+        [sdepth_module._cover_steps(2, rest, up, down, level, 10**6)])
     covered = [up[a] & down[b] for a, b in found]
     assert sum(covered) == rest and all(c & rest == c for c in covered)
     assert found[0][0] == 1
@@ -410,7 +411,8 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
             continue
         keep = [p for i, p in enumerate(poset.points) if full >> i & 1]
         for target in range(1, len(level)):
-            found = sdepth_module._cover_search(target, full, up, down, level, 10**6)
+            found = sdepth_module._first_to_finish(
+                [sdepth_module._cover_steps(target, full, up, down, level, 10**6)])
             expected = first_found_cover(poset.points, poset.ceiling, target, keep)
             outcomes.add(found is None)
             if found is None:
@@ -438,6 +440,36 @@ def test_least_budget_on_deep_searches(name, need):
     assert report == json.loads((GOLDEN / f"ideal_{name}.sdepth_ideal.json").read_text())
     with pytest.raises(LimitExceeded):
         sdepth_solve(pair, budget=need - 1)
+
+
+@pytest.mark.parametrize("module", [ideal_pair, quotient_ring_pair], ids=["ideal", "quotient"])
+@pytest.mark.parametrize("name", sorted(_DEEP_BUDGETS))
+def test_deep_search_witness_matches_first_found_oracle(name, module):
+    pair = module(gens_from_json(json.loads((GOLDEN / f"ideal_{name}.json").read_text())))
+    assert sdepth_solve(pair).witness == first_found_witness(*box_points(pair))
+
+
+def test_witness_policy_of_each_entry_point(monkeypatch):
+    # a8 #12, whose cover search pushes 8572 frames: sdepth_solve keeps to
+    # that search, while sdepth_value races the level-exact search against it
+    # and, in one-frame slices, consults the colon cap on a target still open
+    pair = ideal_pair(gens_from_json(json.loads((GOLDEN / "ideal_a8_12.json").read_text())))
+    golden = json.loads((GOLDEN / "ideal_a8_12.sdepth_ideal.json").read_text())
+    monkeypatch.setattr(sdepth_module, "_SLICE", 1)
+    real = {name: getattr(sdepth_module, name) for name in ("_level_exact_steps", "_colon_cap")}
+
+    def refuse(*args):
+        raise AssertionError("sdepth_solve left its cover search")
+
+    for name in real:
+        monkeypatch.setattr(sdepth_module, name, refuse)
+    assert sdepth_solve(pair).to_json() == golden
+    calls = []
+    for name, fn in real.items():
+        monkeypatch.setattr(sdepth_module, name,
+                            lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    assert sdepth_value(pair) == golden["sdepth"]
+    assert set(calls) == set(real)
 
 
 def test_colon_cap_never_below_sdepth(rng):
