@@ -30,7 +30,6 @@ from .lattice import (
     JoinMap,
     MonotoneMap,
     Semilattice,
-    StructureReport,
     boolean_semilattice,
     canonical_form,
     collapse,
@@ -42,7 +41,6 @@ from .lattice import (
     lattice_to_dot,
     lattice_to_json,
     pseudo_inverse,
-    structure_report,
 )
 from .monomials import (
     GeneratorSet,

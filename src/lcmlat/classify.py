@@ -5,15 +5,15 @@ holds every singleton and the full set and is closed under non-empty
 intersection.  Collapsing a meet-irreducible above the atoms drops one member
 and keeps such a family, so the breadth-first walk of these drops from the
 boolean family visits every isomorphism class; duplicates are cut by the
-family's canonical form.  Each class is measured on a monomial realization:
-projective dimension and Stanley projective dimension of both the ideal and
-its quotient ring.  These depend on the lcm-lattice alone, so the narrowest
-realization, one variable per chain of meet-irreducibles, serves."""
+family's canonical form.  The walk drops the meet-irreducibles that each
+class's lattice reports, so it never tests irreducibility on the family.
+Each class is measured on a monomial realization: projective dimension and
+Stanley projective dimension of both the ideal and its quotient ring.  These
+depend on the lcm-lattice alone, so the narrowest realization, one variable
+per chain of meet-irreducibles, serves."""
 
 import random
-from dataclasses import dataclass, replace
-from functools import reduce
-from operator import and_
+from dataclasses import asdict, dataclass, replace
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded, NotAtomistic
@@ -31,25 +31,24 @@ def enumerate_atomistic(k: int, config: Config = DEFAULT):
     if k >= 5 and not config.long_run:
         raise LimitExceeded("a census this large must be requested explicitly")
     root = boolean_semilattice(k, config)
-    full = (1 << k) - 1
-    family = tuple(range(1, full + 1))
-    key = _canon_family(family, k)
+    key = _canon_family(root.atom_sets, k)
     seen = {key}
-    frontier = [family]
+    # a class's family lists its members in element order, so element x is family[x]
+    frontier = [(root.atom_sets, root.meet_irreducibles)]
     yield key, root
     while frontier:
         nxt = []
-        for family in frontier:
-            for a in family:
-                above = [b for b in family if b & a == a and b != a]
-                if a & (a - 1) == 0 or reduce(and_, above, full) == a:
-                    continue  # atoms stay; the meet of the members above a is reducible
-                child = tuple(b for b in family if b != a)
+        for family, meet_irreducibles in frontier:
+            for x in meet_irreducibles:
+                if family[x] & (family[x] - 1) == 0:
+                    continue  # atoms stay
+                child = family[:x] + family[x + 1:]
                 ckey = _canon_family(child, k)
                 if ckey not in seen:
                     seen.add(ckey)
-                    nxt.append(child)
-                    yield ckey, family_semilattice(child, config)
+                    lat = family_semilattice(child, config)
+                    nxt.append((child, lat.meet_irreducibles))
+                    yield ckey, lat
         frontier = nxt
 
 
@@ -63,14 +62,7 @@ class LatticeInvariants:
     field: str
 
     def to_json(self):
-        return {
-            "pdim_ideal": self.pdim_ideal,
-            "pdim_quotient": self.pdim_quotient,
-            "spdim_ideal": self.spdim_ideal,
-            "spdim_quotient": self.spdim_quotient,
-            "nvars": self.nvars,
-            "field": self.field,
-        }
+        return asdict(self)
 
 
 def _invariants_of_gens(gens: GeneratorSet, config: Config):

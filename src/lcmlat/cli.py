@@ -12,6 +12,7 @@ import contextlib
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from .config import PRIME_BOUND, Config
 from .errors import InternalError, InvalidInput, LcmlatError, LimitExceeded
@@ -262,10 +263,8 @@ def _cmd_check_map(args, cfg):
     check = _resolution.pdim_pair_invariance(
         pa, pb, _read(args.map, cfg, "map"), cfg, with_sdepth=args.with_sdepth
     )
-    keys = ["bijective", "pdim_source", "pdim_target", "pdim_ok"]
-    if args.with_sdepth:
-        keys += ["spdim_source", "spdim_target", "spdim_ok"]
-    _emit(args.out, {key: getattr(check, key) for key in keys})
+    # the Stanley fields are None unless --with-sdepth asked for them
+    _emit(args.out, {key: value for key, value in asdict(check).items() if value is not None})
     if not check.ok:
         raise AssertionError("a validated surjection must not increase the invariants")
 

@@ -213,11 +213,6 @@ class Semilattice:
         return tuple(i for i in range(self.n) if len(self.upper_covers[i]) == 1)
 
     @cached_property
-    def join_irreducibles(self):
-        # an element with two lower covers is their join, so irreducible <=> at most one
-        return tuple(i for i in range(self.n) if len(self.lower_covers[i]) <= 1)
-
-    @cached_property
     def atom_sets(self):
         """Per element, bitmask over atom positions of the atoms below it."""
         out = [0] * self.n
@@ -268,31 +263,6 @@ def family_semilattice(family, config: Config = DEFAULT):
     labels = ["{" + ",".join(str(t + 1) for t in _bits(m)) + "}" for m in masks]
     upper = [sum(1 << i for i, b in enumerate(masks) if a & ~b == 0) for a in masks]
     return Semilattice.from_leq(labels, upper, config)
-
-
-# ---------------- reports ----------------
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    atoms: tuple
-    meet_irreducibles: tuple
-    meet_irreducible_covers: tuple  # (element, its unique cover) pairs
-    join_irreducibles: tuple
-    is_atomistic: bool
-    covers: tuple
-
-
-def structure_report(lat: Semilattice) -> StructureReport:
-    mi = lat.meet_irreducibles
-    return StructureReport(
-        atoms=lat.atoms,
-        meet_irreducibles=mi,
-        meet_irreducible_covers=tuple((m, lat.upper_covers[m][0]) for m in mi),
-        join_irreducibles=lat.join_irreducibles,
-        is_atomistic=lat.is_atomistic,
-        covers=lat.covers,
-    )
 
 
 # ---------------- maps ----------------

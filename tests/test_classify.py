@@ -79,6 +79,23 @@ def test_family_walk_matches_collapse_walk():
             assert lat.leq.tolist() == want.leq.tolist()
             assert lat.join == want.join
 
+
+def test_walk_children_are_collapses():
+    # the yielded keys are closed under collapsing a non-atom meet-irreducible
+    # of a yielded lattice, and each key but the root arises so from an earlier one
+    for k in range(1, 5):
+        walk = list(enumerate_atomistic(k))
+        keys = {key for key, _ in walk}
+        reached = {walk[0][0]}
+        for key, lat in walk:
+            assert key in reached
+            for x in lat.meet_irreducibles:
+                if x not in lat.atoms:
+                    child = canonical_form(collapse(lat, x)[0])
+                    assert child in keys
+                    reached.add(child)
+
+
 def test_atom_cap():
     with pytest.raises(LimitExceeded):
         list(enumerate_atomistic(0))

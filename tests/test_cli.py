@@ -561,6 +561,23 @@ def test_check_map_command(tmp_path, capsys):
 
 
 
+_CHECK_MAP_PDIM = '{\n  "bijective": true,\n  "pdim_ok": true,\n  "pdim_source": 1,\n  "pdim_target": 1'
+
+
+@pytest.mark.parametrize("extra, want", [
+    ([], _CHECK_MAP_PDIM + "\n}\n"),
+    (["--with-sdepth"], _CHECK_MAP_PDIM
+     + ',\n  "spdim_ok": true,\n  "spdim_source": 1,\n  "spdim_target": 1\n}\n'),
+])
+def test_check_map_golden_stdout(tmp_path, capsys, extra, want):
+    # the report's key set, with and without the Stanley fields, byte for byte
+    a = _write(tmp_path, "a.json", PAIR)
+    m = _write(tmp_path, "m.json", {"image": [0, 1, 2]})
+    code, out, err = _run(["check-map", a, a, m, *extra], capsys)
+    assert code == 0, err
+    assert out == want
+
+
 def test_check_map_with_non_minimal_denominator(tmp_path, capsys):
     # J = (x^2, x^3) is not minimal; the joint lattice is x, y, x^2, xy, x^2*y
     pair = {

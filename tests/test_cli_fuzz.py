@@ -2,7 +2,10 @@
 
 Whatever the input, the command line must exit 0, 1 or 2, write nothing to
 stdout unless it succeeds, start its stderr with ``error:`` or ``limit:``
-when it fails, and never show a traceback.  The example budget comes from
+when it fails, and never show a traceback.  The ``--out`` and ``--dot`` paths
+are a new file, an existing file, a directory or a file under a missing
+directory; a run given a path that cannot be written never exits 0, and a
+report written to ``--out`` leaves stdout empty.  The example budget comes from
 the loaded hypothesis profile (see conftest.py): the default keeps this test
 to about two seconds, ``HYPOTHESIS_PROFILE=deep`` runs it far longer.
 """
@@ -95,6 +98,9 @@ def _options(*parts):
 _module = _option("--module", st.sampled_from(["ideal", "quotient-ring"]))
 _field = _option("--field", st.sampled_from(["Q", "GF:2", "GF(3)", "GF:4", "R"]))
 
+# where --out and --dot write, under the test's directory, and whether it can be written
+_TARGETS = {"new.txt": True, "old.txt": True, ".": False, "no-such-dir/out.txt": False}
+
 _pair_input = _ideal() | _pair
 _lattice_input = _lattice() | _ideal() | _pair
 
@@ -139,8 +145,14 @@ def test_cli_never_crashes(tmp_path, capsys, command, data, other, image, shifts
     for name, value in (("doc", doc), ("other", other), ("map", image), ("shifts", shifts)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(value))
-    paths["dot"] = tmp_path / "g.dot"
-    options = data.draw(_OPTIONS[command], label="options")
+    (tmp_path / "new.txt").unlink(missing_ok=True)
+    (tmp_path / "old.txt").write_text("old\n")
+    targets = {name: data.draw(st.sampled_from(sorted(_TARGETS)), label=name)
+               for name in ("out", "dot")}
+    paths.update((name, tmp_path / target) for name, target in targets.items())
+    options = data.draw(_options(_OPTIONS[command], _option("--out", st.just("{out}"))),
+                        label="options")
+    given_paths = [name for name in targets if any(a.startswith(f"--{name}=") for a in options)]
     for name, path in paths.items():
         options = [a.replace("{%s}" % name, str(path)) for a in options]
     argv = [command, str(paths["doc"]), *options]
@@ -152,3 +164,7 @@ def test_cli_never_crashes(tmp_path, capsys, command, data, other, image, shifts
         assert out == ""
         assert err.startswith(("error:", "limit:")), (argv, err)
     assert "Traceback" not in err
+    if any(not _TARGETS[targets[name]] for name in given_paths):
+        assert info.value.code, (argv, err)
+    elif "out" in given_paths and not info.value.code:
+        assert out == "" and isinstance(json.loads(paths["out"].read_text()), dict)
