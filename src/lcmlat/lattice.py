@@ -1,11 +1,13 @@
 """Finite join-semilattices and the surgery used on them.
 
 A Semilattice stores its order once, as one upper-set bitmask per element
-(bit b of upper_masks[a] is set when a <= b), plus a join table of tuples,
-which Semilattice.from_leq alone derives from the order.  There is always a
-unique top; a bottom is NOT assumed (the virtual bottom that some formulas
-need is handled by the callers, it is never stored as an element).  Elements
-are integer indices; labels are cosmetic.
+(bit b of upper_masks[a] is set when a <= b), with the map from each mask
+back to its element.  The join a v b is the element whose upper set is
+upper_masks[a] & upper_masks[b]; Semilattice.from_leq alone checks that
+every pair has one.  There is always a unique top; a bottom is NOT assumed
+(the virtual bottom that some formulas need is handled by the callers, it is
+never stored as an element).  Elements are integer indices; labels are
+cosmetic.
 
 Surgery: pseudo-inverses of surjective join-preserving maps, collapse of a
 meet-irreducible element onto its unique cover, and factoring an arbitrary
@@ -49,29 +51,6 @@ def _closure(upper):
     return upper
 
 
-def _least_upper_bounds(upper):
-    """Join table from upper-set bitmasks of a reflexive, transitive relation.
-
-    a v b is the element whose upper set is exactly upper[a] & upper[b]: such
-    an element lies in the common upper set and below all of it.  Raises
-    CyclicRelation if two elements share an upper set and NotASemilattice if
-    some pair has no least upper bound.
-    """
-    by_upper = {}
-    for i, m in enumerate(upper):
-        j = by_upper.setdefault(m, i)
-        if j != i:
-            raise CyclicRelation(j, i)
-    join = []
-    for a, ua in enumerate(upper):
-        # join is symmetric: the left part of row a is column a of the rows above
-        row = [r[a] for r in join] + [by_upper.get(ua & ub) for ub in upper[a:]]
-        if None in row:
-            raise NotASemilattice(a, row.index(None))
-        join.append(tuple(row))
-    return tuple(join)
-
-
 class _OrderView:
     """lat.leq[a, b] and lat.leq.tolist(), read off the upper-set bitmasks."""
 
@@ -90,13 +69,13 @@ class _OrderView:
 class Semilattice:
     """Finite join-semilattice on elements 0..n-1 with a unique top."""
 
-    def __init__(self, labels, upper, join, _validated=False):
+    def __init__(self, labels, upper, by_upper, _validated=False):
         if not _validated:
             raise InvalidInput("use the from_* constructors")
         self.n = len(labels)
         self.labels = tuple(str(x) for x in labels)
         self.upper_masks = tuple(upper)
-        self.join = join
+        self._by_upper = by_upper  # upper-set mask -> element
 
     # ---------------- constructors ----------------
 
@@ -117,13 +96,16 @@ class Semilattice:
     def from_leq(cls, labels, upper, config: Config = DEFAULT):
         """Build from a transitively closed order, one upper-set bitmask per element.
 
-        Bit b of upper[a] is set when a <= b.  This is the one place a join
-        table is derived and checked: every other constructor builds the
-        masks and calls this one.  The order must be reflexive and hold no
-        bit past the last element (else InvalidInput) and antisymmetric (else
-        CyclicRelation), and every pair needs a least upper bound (else
-        NotASemilattice).  Transitivity is the caller's promise;
-        from_relations takes the closure.
+        Bit b of upper[a] is set when a <= b.  This is the one place joins
+        are checked: every other constructor builds the masks and calls this
+        one.  The order must be reflexive and hold no bit past the last
+        element (else InvalidInput) and antisymmetric (else CyclicRelation,
+        for the first repeated mask).  Every pair needs a least upper bound,
+        an element whose upper set is exactly upper[a] & upper[b]: such an
+        element lies in the common upper set and below all of it (else
+        NotASemilattice, for the first pair a <= b in row-major order).
+        Transitivity is the caller's promise; from_relations takes the
+        closure.
         """
         n = len(labels)
         if n == 0:
@@ -133,7 +115,17 @@ class Semilattice:
         upper = tuple(upper)
         if len(upper) != n or any(not m >> a & 1 or m >> n for a, m in enumerate(upper)):
             raise InvalidInput("the order must be a reflexive relation on the labels")
-        return cls(labels, upper, _least_upper_bounds(upper), _validated=True)
+        by_upper = {}
+        for i, m in enumerate(upper):
+            j = by_upper.setdefault(m, i)
+            if j != i:
+                raise CyclicRelation(j, i)
+        for a, ua in enumerate(upper):
+            # joins are symmetric, so the pairs a <= b settle every pair
+            found = [ua & ub in by_upper for ub in upper[a:]]
+            if not all(found):
+                raise NotASemilattice(a, a + found.index(False))
+        return cls(labels, upper, by_upper, _validated=True)
 
     @classmethod
     def from_join_table(cls, labels, join, config: Config = DEFAULT):
@@ -142,9 +134,6 @@ class Semilattice:
         join = tuple(map(tuple, join))
         if len(join) != n or any(len(row) != n for row in join):
             raise InvalidInput("join table shape mismatch")
-        skew = [(a, b) for a in range(n) for b in range(a + 1, n) if join[a][b] != join[b][a]]
-        if skew:
-            raise NotASemilattice(*skew[0])
         # a <= b  <=>  a v b = b
         upper = [sum(1 << b for b, ab in enumerate(row) if ab == b) for row in join]
         if any(not m >> a & 1 for a, m in enumerate(upper)):
@@ -152,7 +141,8 @@ class Semilattice:
         if upper != _closure(list(upper)):
             raise InvalidInput("join table induces a non-transitive order")
         built = cls.from_leq(labels, upper, config)
-        wrong = [(a, b) for a in range(n) for b in range(n) if built.join[a][b] != join[a][b]]
+        # a skewed table fails here too, since built's joins are symmetric
+        wrong = [(a, b) for a in range(n) for b in range(n) if built.join(a, b) != join[a][b]]
         if wrong:
             raise NotASemilattice(*wrong[0])
         return built
@@ -234,14 +224,16 @@ class Semilattice:
             h[x] = 1 + max((h[c] for c in self.lower_covers[x]), default=-1)
         return tuple(h)
 
+    def join(self, a, b):
+        return self._by_upper[self.upper_masks[a] & self.upper_masks[b]]
+
     def join_of(self, ids):
-        ids = list(ids)
-        if not ids:
+        common = -1  # every bit set: the unit of &
+        for i in ids:
+            common &= self.upper_masks[i]
+        if common < 0:
             raise InvalidInput("join of an empty set is undefined here")
-        acc = ids[0]
-        for i in ids[1:]:
-            acc = self.join[acc][i]
-        return acc
+        return self._by_upper[common]
 
     def __repr__(self):
         return f"Semilattice(n={self.n})"
@@ -280,10 +272,9 @@ class JoinMap:
             raise InvalidInput("image index out of range")
         self.image = image
         # join is symmetric, so the pairs a <= b (as indices) settle every pair
-        for a, row in enumerate(source.join):
-            image_row = target.join[image[a]]
+        for a in range(source.n):
             for b in range(a, source.n):
-                if image[row[b]] != image_row[image[b]]:
+                if image[source.join(a, b)] != target.join(image[a], image[b]):
                     raise NotJoinPreserving(a, b)
 
     @classmethod

@@ -37,8 +37,9 @@ also runs a level-exact search (tops at the target level only) in alternating
 slices with it and takes the first answer, and caps the targets of I and S/I
 by the Hilbert caps of their colons by one variable.
 
-The box cells are bitsets in mixed radix, and the point set is the union of
-the generators' up-sets in I less those in J.  Point sets of the search are
+The box cells are bitsets in mixed radix, from the gcd of I's generators
+(which every point lies above) to g, and the point set is the union of the
+generators' up-sets in I less those in J.  Point sets of the search are
 integer bitsets over the sorted points.  Per coordinate j and value v,
 threshold masks hold the points with p[j] >= v and those with p[j] <= v; the
 points above (below) p are the AND over j of the thresholds at p[j].  Level
@@ -86,22 +87,25 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     slim = pair.minimalize()
     slim.require_proper()
     g = union_generators(slim).lcm()
+    # every point lies above a generator of I, so the cells start at their gcd
+    low = slim.i.gcd_of_gens()
+    side = [e - d + 1 for e, d in zip(g, low)]
     cells = 1
-    for e in g:
-        cells *= e + 1
+    for w in side:
+        cells *= w
         if cells > _GRID_CAP:
             raise LimitExceeded(f"search box exceeds {_GRID_CAP} cells")
     # cells are numbered in mixed radix, the last coordinate fastest, so cell
     # order is lex order; stride[j] is the step of coordinate j
     stride = [1] * len(g)
     for j in range(len(g) - 2, -1, -1):
-        stride[j] = stride[j + 1] * (g[j + 1] + 1)
+        stride[j] = stride[j + 1] * side[j + 1]
     box = (1 << cells) - 1
 
     def ge(j, v):
         """The cells with c[j] >= v: a run of ones repeated every period."""
-        period = stride[j] * (g[j] + 1)
-        mask = (1 << period) - (1 << (v * stride[j]))
+        period = stride[j] * side[j]
+        mask = (1 << period) - (1 << ((v - low[j]) * stride[j]))
         while period < cells:
             mask |= mask << period
             period <<= 1
@@ -113,7 +117,7 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
         for m in gens:
             cone = box
             for j, v in enumerate(m):
-                if v:
+                if v > low[j]:
                     cone &= ge(j, v)
             found |= cone
         return found
@@ -127,7 +131,7 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     while k >= 0:
         found.append(k)
         k = digits.find("1", k + 1)
-    coords = [[c // s % (e + 1) for c in found] for s, e in zip(stride, g)]
+    coords = [[d + c // s % w for c in found] for s, w, d in zip(stride, side, low)]
     # a stable sort by degree: the cells come in lex order
     pts = sorted(zip(*coords), key=sum) if g else [()] * len(found)
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))

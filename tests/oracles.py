@@ -462,20 +462,18 @@ def closure_by_search(n, pairs):
     return leq
 
 
+def least_upper_bound(leq, a, b):
+    """The unique least common upper bound of a and b, or None."""
+    ups = [u for u in range(len(leq)) if leq[a][u] and leq[b][u]]
+    least = [u for u in ups if all(leq[u][v] for v in ups)]
+    return least[0] if len(least) == 1 else None
+
+
 def joins_by_definition(leq):
     """Join table as the unique least common upper bound of each pair, or None."""
     n = len(leq)
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            ups = [u for u in range(n) if leq[a][u] and leq[b][u]]
-            least = [u for u in ups if all(leq[u][v] for v in ups)]
-            if len(least) != 1:
-                return None
-            row.append(least[0])
-        table.append(tuple(row))
-    return tuple(table)
+    table = tuple(tuple(least_upper_bound(leq, a, b) for b in range(n)) for a in range(n))
+    return None if any(None in row for row in table) else table
 
 
 def width_by_search(elements, leq):

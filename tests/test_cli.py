@@ -535,6 +535,17 @@ def test_huge_exponent_golden_stdout(capsys, command, module):
     assert out == (GOLDEN / f"huge_exponent.{command}_{module}.json").read_text()
 
 
+def test_huge_box_golden_stdout(capsys):
+    # x^2000*y^1999: the cells start at I's generator, so I is one point and
+    # exits 0; S/I still spans the whole box past the grid cap and exits 2
+    doc = str(GOLDEN / "huge_box.json")
+    code, out, err = _run(["sdepth", doc, "--module", "ideal"], capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / "huge_box.sdepth_ideal.json").read_text()
+    code, out, err = _run(["sdepth", doc, "--module", "quotient-ring"], capsys)
+    assert (code, out, err) == (2, "", "limit: search box exceeds 4000000 cells\n")
+
+
 @pytest.mark.parametrize("atoms", ["0", "-1", "-7"])
 def test_classify_rejects_an_atom_count_below_1(capsys, atoms):
     # bad input while parsing the arguments, not a resource limit
@@ -668,6 +679,14 @@ def test_exit_code_bad_input(tmp_path, capsys):
     assert code == 1
 
 
+def test_lattice_without_a_top_names_the_pair(tmp_path, capsys):
+    # two maximal elements above two minimal ones: 0 v 1 is undefined
+    src = _write(tmp_path, "l.json", {"elements": ["a", "b", "c", "d"],
+                                      "covers": [[0, 2], [1, 2], [0, 3], [1, 3]]})
+    code, out, err = _run(["lattice", src], capsys)
+    assert (code, out, err) == (1, "", "error: elements 0 and 1 have no unique least upper bound\n")
+
+
 def test_exit_code_usage(capsys):
     code, _, _ = _run(["no-such-command"], capsys)
     assert code == 1
@@ -678,7 +697,7 @@ def test_exit_code_usage(capsys):
 def test_exit_code_limit(tmp_path, capsys):
     src = _write(
         tmp_path, "i.json",
-        {"variables": ["x", "y"], "generators": [[9999, 9999]]},
+        {"variables": ["x", "y"], "generators": [[9999, 0], [0, 9999]]},
     )
     code, _, err = _run(["sdepth", src], capsys)
     assert code == 2

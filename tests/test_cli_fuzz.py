@@ -5,9 +5,11 @@ stdout unless it succeeds, start its stderr with ``error:`` or ``limit:``
 when it fails, and never show a traceback.  The ``--out`` and ``--dot`` paths
 are a new file, an existing file, a directory or a file under a missing
 directory; a run given a path that cannot be written never exits 0, and a
-report written to ``--out`` leaves stdout empty.  The example budget comes from
-the loaded hypothesis profile (see conftest.py): the default keeps this test
-to about two seconds, ``HYPOTHESIS_PROFILE=deep`` runs it far longer.
+report written to ``--out`` leaves stdout empty.  The library parsers of the
+four document kinds, fed the same documents, return or raise an LcmlatError.
+The example budget comes from the loaded hypothesis profile (see
+conftest.py): the default keeps these tests to a few seconds,
+``HYPOTHESIS_PROFILE=deep`` runs them far longer.
 """
 
 import json
@@ -15,6 +17,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lcmlat import (LcmlatError, gens_from_json, lattice_from_json, pair_from_json,
+                    weighting_from_json)
 from lcmlat.cli import main
 
 # any small JSON value, for a field that should have held something else
@@ -168,3 +172,19 @@ def test_cli_never_crashes(tmp_path, capsys, command, data, other, image, shifts
         assert info.value.code, (argv, err)
     elif "out" in given_paths and not info.value.code:
         assert out == "" and isinstance(json.loads(paths["out"].read_text()), dict)
+
+
+_PARSERS = {"ideal": (gens_from_json, _ideal()), "pair": (pair_from_json, _pair),
+            "lattice": (lattice_from_json, _lattice()),
+            "weighting": (weighting_from_json, _weighting())}
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(sorted(_PARSERS)), data=st.data())
+def test_parsers_raise_only_library_errors(kind, data):
+    parse, shaped = _PARSERS[kind]
+    doc = data.draw(st.one_of(shaped, shaped, _document), label="doc")
+    try:
+        parse(doc)
+    except LcmlatError:
+        pass

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from lcmlat import (
     CyclicRelation,
+    GeneratorSet,
     InvalidInput,
     JoinMap,
+    Monomial,
     NotASemilattice,
     NotAtomistic,
     NotJoinPreserving,
@@ -22,6 +25,7 @@ from lcmlat import (
     factor_chain,
     factor_map,
     free_cover_map,
+    is_generic,
     is_isomorphic,
     lattice_from_json,
     lattice_to_dot,
@@ -39,7 +43,13 @@ from oracles import (
     is_atomistic_by_definition,
     isomorphic_by_search,
     joins_by_definition,
+    least_upper_bound,
 )
+
+
+def join_table(lat):
+    """lat.join(a, b) for every pair, as a tuple of rows."""
+    return tuple(tuple(lat.join(a, b) for b in range(lat.n)) for a in range(lat.n))
 
 
 def diamondish():
@@ -62,7 +72,7 @@ def test_build_rejects_missing_joins():
 
 def test_join_table_checked():
     b2 = boolean_semilattice(2)
-    bad = [list(row) for row in b2.join]
+    bad = [list(row) for row in join_table(b2)]
     bad[0][1] = 0  # {1} v {2} must be the top
     with pytest.raises((NotASemilattice, InvalidInput)):
         Semilattice.from_join_table(list(b2.labels), bad)
@@ -73,19 +83,20 @@ def test_from_join_table_rebuilds_every_census_class():
 
     classes = 0
     for _, lat in enumerate_atomistic(4):
-        built = Semilattice.from_join_table(list(lat.labels), lat.join)
-        assert built.upper_masks == lat.upper_masks and built.join == lat.join
+        built = Semilattice.from_join_table(list(lat.labels), join_table(lat))
+        assert built.upper_masks == lat.upper_masks
         classes += 1
     assert classes == 50  # the classes of the 4-atom census golden
 
 
 def test_from_join_table_rejects_each_bad_table():
     b2 = boolean_semilattice(2)
+    table = join_table(b2)
     with pytest.raises(InvalidInput, match="shape"):
-        Semilattice.from_join_table(list(b2.labels), b2.join[:2])
+        Semilattice.from_join_table(list(b2.labels), table[:2])
     with pytest.raises(InvalidInput, match="shape"):
-        Semilattice.from_join_table(list(b2.labels), [row[:2] for row in b2.join])
-    loose = [list(row) for row in b2.join]
+        Semilattice.from_join_table(list(b2.labels), [row[:2] for row in table])
+    loose = [list(row) for row in table]
     loose[0][0] = 2  # {1} v {1} = {1,2}, still symmetric
     with pytest.raises(InvalidInput, match="idempotent"):
         Semilattice.from_join_table(list(b2.labels), loose)
@@ -93,7 +104,7 @@ def test_from_join_table_rejects_each_bad_table():
     with pytest.raises(InvalidInput, match="transitive"):
         Semilattice.from_join_table(list("abc"), [[0, 1, 1], [1, 1, 2], [1, 2, 2]])
     b3 = boolean_semilattice(3)
-    wrong = [list(row) for row in b3.join]
+    wrong = [list(row) for row in join_table(b3)]
     a, b, top = b3.atoms[0], b3.atoms[1], b3.top
     wrong[a][b] = wrong[b][a] = top  # the order it induces stays that of B3
     with pytest.raises(NotASemilattice):
@@ -140,14 +151,43 @@ def test_from_relations_matches_closure_by_search(rng):
         leq = closure_by_search(n, pairs)
         joins = joins_by_definition(leq)
         if joins is None:
-            with pytest.raises(NotASemilattice):
+            with pytest.raises(NotASemilattice) as info:
                 Semilattice.from_relations([str(i) for i in range(n)], pairs)
+            # the error names the first pair a <= b, row-major, with no least upper bound
+            missing = [(a, b) for a in range(n) for b in range(a, n)
+                       if least_upper_bound(leq, a, b) is None]
+            assert (info.value.a, info.value.b) == missing[0]
             refused += 1
             continue
         lat = Semilattice.from_relations([str(i) for i in range(n)], pairs)
-        assert lat.leq.tolist() == leq and lat.join == joins
+        assert lat.leq.tolist() == leq and join_table(lat) == joins
         built += 1
     assert built > 50 and refused > 50
+
+
+# a generic ideal of 10 generators in 9 variables whose lcm-lattice has 767 elements
+_GENERIC_10 = [
+    [2, 3, 6, 0, 3, 9, 5, 4, 7], [7, 9, 4, 5, 0, 0, 8, 1, 5], [4, 0, 2, 4, 9, 7, 0, 0, 4],
+    [3, 8, 0, 9, 7, 4, 6, 5, 2], [6, 4, 5, 1, 6, 1, 3, 9, 6], [5, 6, 7, 6, 4, 2, 9, 3, 0],
+    [1, 7, 8, 8, 1, 3, 2, 8, 9], [8, 2, 1, 2, 5, 5, 7, 2, 8], [9, 1, 9, 7, 8, 6, 1, 6, 1],
+    [0, 5, 3, 3, 2, 8, 4, 7, 3],
+]
+
+
+def test_lcm_semilattice_keeps_no_quadratic_table():
+    # n upper-set masks of n bits take about n^2 / 8 bytes; a table of n x n
+    # element references would take 8 n^2 bytes of pointers alone
+    gens = GeneratorSet(tuple(f"x{j}" for j in range(9)), [Monomial(g) for g in _GENERIC_10])
+    assert is_generic(gens)
+    lcm_semilattice(gens)  # warm any first-call caches
+    tracemalloc.start()
+    try:
+        lat = lcm_semilattice(gens).lattice
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.n == 767
+    assert peak < 8 * lat.n ** 2 // 4, peak
 
 
 def test_order_view_is_read_only():
@@ -165,7 +205,7 @@ _OPTIMIZED_CHECKS = textwrap.dedent("""
     if __debug__:
         raise SystemExit("asserts are still on")
     b2 = boolean_semilattice(2)
-    bad = [list(row) for row in b2.join]
+    bad = [[b2.join(a, b) for b in range(b2.n)] for a in range(b2.n)]
     bad[0][1] = 0
     try:
         Semilattice.from_join_table(list(b2.labels), bad)
@@ -251,15 +291,15 @@ def test_boolean_joins_are_unions():
         bk = boolean_semilattice(k)
         for a in range(bk.n):
             for b in range(bk.n):
-                assert bk.join[a][b] == ((a + 1) | (b + 1)) - 1
+                assert bk.join(a, b) == ((a + 1) | (b + 1)) - 1
 
 
 def _remapped_join(lat, a):
-    """Join table of collapse(lat, a) read off lat.join, a sent to its cover."""
+    """Join table of collapse(lat, a) read off lat's joins, a sent to its cover."""
     keep = [x for x in range(lat.n) if x != a]
     new_index = {x: i for i, x in enumerate(keep)}
     new_index[a] = new_index[lat.upper_covers[a][0]]
-    return [[new_index[lat.join[x][y]] for y in keep] for x in keep]
+    return tuple(tuple(new_index[lat.join(x, y)] for y in keep) for x in keep)
 
 
 def test_collapse_joins_match_remapped_table():
@@ -268,7 +308,7 @@ def test_collapse_joins_match_remapped_table():
             if a in lat.atoms:
                 continue
             quot, _ = collapse(lat, a)
-            assert [list(row) for row in quot.join] == _remapped_join(lat, a)
+            assert join_table(quot) == _remapped_join(lat, a)
             if depth > 1:
                 walk(quot, depth - 1)
 
@@ -559,7 +599,7 @@ def test_json_roundtrip():
     back = lattice_from_json(doc)
     assert back.labels == lat.labels
     assert back.leq.tolist() == lat.leq.tolist()
-    assert back.join == lat.join
+    assert join_table(back) == join_table(lat)
 
 
 def test_dot_output_mentions_every_label():

@@ -251,7 +251,7 @@ def test_lcm_semilattice_joins_are_lcms(rng):
         for i in range(len(monos)):
             for j in range(len(monos)):
                 want = lam.monomials.index(monos[i].lcm(monos[j]))
-                assert lam.lattice.join[i][j] == want
+                assert lam.lattice.join(i, j) == want
 
 
 def test_squarefree_check():

@@ -515,7 +515,8 @@ def test_value_budget_bounds_each_search():
 
 
 def test_grid_cap():
-    gens = _gens(("x", "y"), "x^9999*y^9999")
+    # the gcd of x^9999 and y^9999 is 1, so the cells start at 0
+    gens = _gens(("x", "y"), "x^9999", "y^9999")
     with pytest.raises(LimitExceeded):
         characteristic_poset(ideal_pair(gens))
 
@@ -536,12 +537,14 @@ def test_poset_cap_boundary():
 
 
 def test_grid_cap_boundary():
-    # 2000 x 2000 cells is the cap itself; one more row of cells is past it
-    pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x^1999*y^1999")))
-    assert pos.points == ((1999, 1999),)
+    # cells from (0, 0) to (1999, 1999): 2000 x 2000 is the cap itself, and
+    # the points are the two edges at the ceiling; one more row is past it
+    pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x^1999", "y^1999")))
+    assert pos.size == 3999
+    assert all(1999 in p for p in pos.points)
     assert sdepth_module._GRID_CAP == 4_000_000
     with pytest.raises(LimitExceeded, match="^search box exceeds 4000000 cells$"):
-        characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2000*y^1999")))
+        characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2000", "y^1999")))
 
 
 def test_poset_matches_box_scan(rng):
