@@ -351,11 +351,27 @@ def _standard_weights(monos, upper):
     return tuple(weights)
 
 
+def _realized(w: Weighting, elements):
+    """For each element x, the product of the weights of the bottom and of
+    every element not above x: per variable, the bottom's exponent plus each
+    weight exponent v times the count of the elements carrying v there that
+    are not above x, read off one mask per (variable, v)."""
+    columns = []
+    for column in zip(*w.weights):
+        at = {}  # per nonzero exponent, the elements carrying it
+        for q, v in enumerate(column):
+            if v:
+                at[v] = at.get(v, 0) | 1 << q
+        columns.append(at.items())
+    upper = w.lattice.upper_masks
+    return [tuple.__new__(Monomial, [e + sum(v * (m & ~upper[x]).bit_count() for v, m in col)
+                                     for e, col in zip(w.bottom, columns)])
+            for x in elements]
+
+
 def reconstruct(w: Weighting, idx: int) -> Monomial:
     """Product of the weights of the bottom and of every element not above idx."""
-    lat = w.lattice
-    rows = [w.weights[q] for q in _bits(((1 << lat.n) - 1) & ~lat.upper_masks[idx])]
-    return tuple.__new__(Monomial, map(sum, zip(w.bottom, *rows)))
+    return _realized(w, [idx])[0]
 
 
 def squarefree_check(gens: GeneratorSet):

@@ -5,13 +5,15 @@ weights, every meet-irreducible carries a non-unit, and the top carries 1.
 The realization multiplies, for each element M, the weights of the bottom and
 of all elements not above M; the resulting generator set has the original
 lattice as its lcm-semilattice and the original weights as its standard
-weight map.  Both halves of that round trip are checked here, on the
-generators themselves and element for element: they are distinct, the lcm of
-each incomparable pair is one of them, they divide each other exactly as the
-order says, and their bottom and standard weights are the given ones.  That
-is all a rebuilt lcm-semilattice could show, so none is built.  A passed
-round trip shows the weighting realizable, so realize tests the conditions
-only when it fails, to name the broken one.
+weight map.  Each exponent is a masked count: per variable and exponent
+value v, the mask of the elements whose weight carries v there, less the
+up-set of M, counts v times.  Both halves of that round trip are checked
+here, on the generators themselves and element for element: they are
+distinct, the lcm of each incomparable pair is one of them, they divide each
+other exactly as the order says, and their bottom and standard weights are
+the given ones.  That is all a rebuilt lcm-semilattice could show, so none
+is built.  A passed round trip shows the weighting realizable, so realize
+tests the conditions only when it fails, to name the broken one.
 """
 
 from .config import DEFAULT, Config
@@ -23,6 +25,7 @@ from .monomials import (
     QuotientPair,
     Weighting,
     _interval_masks,
+    _realized,
     _standard_weights,
     m_coprime,
     reconstruct,
@@ -70,7 +73,7 @@ def realize(w: Weighting) -> GeneratorSet:
     """
     _check_count(w)
     try:
-        gens = GeneratorSet(w.variables, [reconstruct(w, m) for m in range(w.lattice.n)])
+        gens = GeneratorSet(w.variables, _realized(w, range(w.lattice.n)))
         _check_roundtrip(w, gens)
     except (InvalidInput, InternalError):
         ok, witness = validate_weighting(w)
@@ -91,10 +94,11 @@ def _check_roundtrip(w, gens):
     up, down = _interval_masks(labeling)  # divisibility is the componentwise order
     everything = (1 << lat.n) - 1
     for a, ma in enumerate(labeling):
-        # a comparable pair's lcm is one of the pair: only incomparable pairs, each once
-        for b in _bits(everything >> a << a & ~(up[a] | down[a])):
-            if ma.lcm(labeling[b]) not in members:
-                raise InternalError("realized monomials collide or miss the lcm-lattice")
+        # a comparable pair's lcm is one of the pair: only incomparable pairs,
+        # each once; the lcms are plain tuples, which hash and compare as monomials
+        partners = _bits(everything >> a << a & ~(up[a] | down[a]))
+        if not members.issuperset([tuple(map(max, ma, labeling[b])) for b in partners]):
+            raise InternalError("realized monomials collide or miss the lcm-lattice")
     if tuple(up) != lat.upper_masks:
         raise InternalError("divisibility of the realization differs from the order")
     if gens.gcd_of_gens() != w.bottom or _standard_weights(labeling, up) != tuple(w.weights):

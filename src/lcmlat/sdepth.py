@@ -27,8 +27,10 @@ bound is reached.
 
 A top above a covered point can give no free interval, so the tops of a new
 bottom leave out the up-sets of its minimal covered points above it before
-any interval is built.  Neither this nor the level of the free-top test
-changes a frame the search pushes or the partition it finds.
+any interval is built, and a low point's free tops are its uncovered tops
+at the target level less the up-sets of its own minimal covered points
+above it, the lowest index taken.  Neither this nor the level of the
+free-top test changes a frame the search pushes or the partition it finds.
 
 One loop tries the targets in turn, up to the first that fails, under one
 of two policies.  sdepth_solve runs that search alone, so its witness is the
@@ -44,22 +46,24 @@ integer bitsets over the sorted points.  Per coordinate j and value v,
 threshold masks hold the points with p[j] >= v and those with p[j] <= v; the
 points above (below) p are the AND over j of the thresholds at p[j].  Level
 masks hold the points of each ceiling count, so the tops are walked level by
-level from the highest down, lowest index first.
+level from the highest down, lowest index first.  No interval bottomed at a
+point tops out above the highest level over it, so the targets stop at the
+highest level whose points' down-sets, ORed from the top level down, cover
+the poset.
 """
 
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, product
 from math import inf
-from operator import eq
+from operator import eq, gt
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded
+from .lattice import _bits
 from .monomials import Monomial, QuotientPair, _interval_masks, colon, union_generators
 
-_FAIL_CACHE_CAP = 1 << 18
 _SLICE = 2000  # frames a search pushes before it yields its turn
-_GRID_CAP = 4_000_000
 
 
 @dataclass
@@ -93,8 +97,8 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     cells = 1
     for w in side:
         cells *= w
-        if cells > _GRID_CAP:
-            raise LimitExceeded(f"search box exceeds {_GRID_CAP} cells")
+        if cells > config.grid_cap:
+            raise LimitExceeded(f"search box exceeds {config.grid_cap} cells")
     # cells are numbered in mixed radix, the last coordinate fastest, so cell
     # order is lex order; stride[j] is the step of coordinate j
     stride = [1] * len(g)
@@ -137,7 +141,7 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
 
 
-def _cover_steps(target, full, up, down, level, budget):
+def _cover_steps(target, full, up, down, level, budget, fail_cap):
     """A search for a partition of `full` into intervals whose tops all reach
     `target`, run in slices: it yields after every _SLICE pushed frames and
     returns the partition, or None when there is none.
@@ -148,8 +152,8 @@ def _cover_steps(target, full, up, down, level, budget):
     (uncovered, a, above, r, pending): the state, its bottom, the uncovered
     points above it and above no covered point of `full`, the level walked
     and the tops of that level not yet tried.  Dead and exhausted states go
-    to the fail cache.  Pushing more than `budget` frames raises
-    LimitExceeded.
+    to the fail cache, which holds at most `fail_cap` states.  Pushing more
+    than `budget` frames raises LimitExceeded.
     """
     high = 0
     for m in level[target:]:
@@ -159,6 +163,15 @@ def _cover_steps(target, full, up, down, level, budget):
     free = [-1] * len(up)  # the last free interval above each low point; -1: none
     fail = set()
 
+    def blocked(inside):
+        """The points above some point of `inside`, one up-set per minimal point."""
+        found = 0
+        while inside:
+            x = up[(inside & -inside).bit_length() - 1]
+            found |= x
+            inside &= ~x
+        return found
+
     def dead(rest, b):
         short = down[b] & rest & low
         while short:  # nearest the new cover first
@@ -166,16 +179,10 @@ def _cover_steps(target, full, up, down, level, budget):
             short ^= 1 << p
             if free[p] & ~rest == 0:
                 continue
-            tops = up[p] & rest & exact
-            while tops:
-                q = (tops & -tops).bit_length() - 1
-                span = up[p] & down[q]
-                if span & ~rest == 0:
-                    free[p] = span
-                    break
-                tops &= tops - 1
-            else:
+            tops = up[p] & rest & exact & ~blocked(up[p] & ~rest)  # none above a covered point
+            if not tops:
                 return True
+            free[p] = up[p] & down[(tops & -tops).bit_length() - 1]
         return False
 
     top = len(level) - 1
@@ -193,7 +200,7 @@ def _cover_steps(target, full, up, down, level, budget):
                 r -= 1
                 pending = above & level[r]
                 continue
-            if len(fail) < _FAIL_CACHE_CAP:
+            if len(fail) < fail_cap:
                 fail.add(uncovered)
             if not frames:
                 return None
@@ -214,7 +221,7 @@ def _cover_steps(target, full, up, down, level, budget):
             return chosen
         if dead(rest, b):
             chosen.pop()
-            if len(fail) < _FAIL_CACHE_CAP:
+            if len(fail) < fail_cap:
                 fail.add(rest)
             continue
         pushed += 1
@@ -223,20 +230,14 @@ def _cover_steps(target, full, up, down, level, budget):
         frames.append((uncovered, a, above, r, pending))
         uncovered = rest
         a = (rest & -rest).bit_length() - 1
-        inside = up[a] & full & ~rest  # covered: no top above them is free
-        blocked = 0
-        while inside:  # once per minimal covered point
-            x = up[(inside & -inside).bit_length() - 1]
-            blocked |= x
-            inside &= ~x
-        above = up[a] & rest & ~blocked
+        above = up[a] & rest & ~blocked(up[a] & full & ~rest)  # none above a covered point
         r = top
         pending = above & level[r]
         if not pushed % _SLICE:
             yield
 
 
-def _level_exact_steps(target, full, up, down, level, budget):
+def _level_exact_steps(target, full, up, down, level, budget, fail_cap):
     """The search of _cover_steps with every top at level `target` exactly.
 
     Stanley depth is at least k exactly when the points of ceiling count
@@ -251,7 +252,8 @@ def _level_exact_steps(target, full, up, down, level, budget):
     for m in level[target + 1:]:
         higher |= m
     higher &= full
-    found = yield from _cover_steps(target, full ^ higher, up, down, level[:target + 1], budget)
+    found = yield from _cover_steps(target, full ^ higher, up, down, level[:target + 1], budget,
+                                    fail_cap)
     if found is not None:
         found += [(i, i) for i in range(len(up)) if higher >> i & 1]
     return found
@@ -331,15 +333,21 @@ class SdepthReport:
 
 def _search_setup(pair, config):
     """The poset, its level and interval masks, the least ceiling count and
-    the cap on the target: no interval bottomed at a point tops out above the
-    highest level over it, and the Hilbert cap bounds the rest."""
+    the cap on the target: the least over the points of the highest level
+    above them (see the module docstring), and the Hilbert cap."""
     poset = characteristic_poset(pair, config)
     level = [0] * (len(poset.variables) + 1)
     for i, r in enumerate(poset.ceiling_counts):
         level[r] |= 1 << i
     up, down = _interval_masks(poset.points)
     value = next(r for r, m in enumerate(level) if m)
-    tcap = min(next(r for r in range(len(level) - 1, -1, -1) if u & level[r]) for u in up)
+    full = (1 << poset.size) - 1
+    covered = 0
+    tcap = len(level)
+    while covered != full:  # the highest level whose down-sets cover the poset
+        tcap -= 1
+        for q in _bits(level[tcap]):
+            covered |= down[q]
     if tcap > value:  # only a search can use the cap
         tcap = min(tcap, _hilbert_cap(poset))
     return poset, level, up, down, value, tcap
@@ -381,9 +389,10 @@ def _decide(pair, config, budget, race):
     witness = [(i, i) for i in range(poset.size)]
     colon_cap = cache(lambda: _colon_cap(pair, poset, config))
     for target in range(value + 1, tcap + 1):
-        searches = [_cover_steps(target, full, up, down, level, budget)]
+        args = (target, full, up, down, level, budget, config.fail_cache_cap)
+        searches = [_cover_steps(*args)]
         if race:
-            searches.insert(0, _level_exact_steps(target, full, up, down, level, budget))
+            searches.insert(0, _level_exact_steps(*args))
         found = _first_to_finish(searches, (lambda: target > colon_cap()) if race else None)
         if found is None:
             break
@@ -418,9 +427,9 @@ def verify_decomposition(poset: CharacteristicPoset, intervals):
     value = None
     for a, b in intervals:
         a, b = tuple(a), tuple(b)
-        if a not in points or b not in points or any(x > y for x, y in zip(a, b)):
+        if a not in points or b not in points or any(map(gt, a, b)):
             return False, None
-        for p in product(*(range(x, y + 1) for x, y in zip(a, b))):
+        for p in product(*map(range, a, [y + 1 for y in b])):
             if p not in points or p in seen:
                 return False, None
             seen.add(p)

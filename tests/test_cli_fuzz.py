@@ -15,10 +15,12 @@ conftest.py): the default keeps these tests to a few seconds,
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from lcmlat import (LcmlatError, gens_from_json, lattice_from_json, pair_from_json,
-                    weighting_from_json)
+from lcmlat import (DEFAULT, LcmlatError, canonical_weighting, chain_weighting,
+                    enumerate_atomistic, gens_from_json, lattice_from_json, lcm_semilattice,
+                    pair_from_json, union_generators, weighting_from_json, weighting_to_json)
+from lcmlat import cli
 from lcmlat.cli import main
 
 # any small JSON value, for a field that should have held something else
@@ -76,6 +78,11 @@ def _weighting(draw):
                      weights=_rows(len(names), n, n) | _rows(len(names))))
 
 
+# the chain or canonical weighting of a 3-atom class: one realize accepts
+_realizable = st.builds(lambda lat, weigh: weighting_to_json(weigh(lat)),
+                        st.sampled_from([lat for _, lat in enumerate_atomistic(3)]),
+                        st.sampled_from([chain_weighting, canonical_weighting]))
+
 _pair = _doc(I=_ideal(), J=_ideal())
 # an identity of a small lattice, or any short image
 _map = _doc(image=st.integers(1, 8).map(lambda k: list(range(k)))
@@ -113,7 +120,7 @@ _lattice_input = _lattice() | _ideal() | _pair
 _INPUT = dict.fromkeys(["sdepth", "betti", "pdim", "polarize", "radical", "colon", "restrict",
                         "inflate", "deform", "check-map"], _pair_input)
 _INPUT.update(dict.fromkeys(["lattice", "canonical", "equalize", "isomorphic"], _lattice_input))
-_INPUT.update(weights=_ideal(), generic=_ideal(), realize=_weighting())
+_INPUT.update(weights=_ideal(), generic=_ideal(), realize=_weighting() | _realizable)
 
 # the options of each subcommand that reads a document, beyond its first path;
 # {name} stands for the path of the document of that name
@@ -140,14 +147,28 @@ _OPTIONS = {
 }
 
 
+def _joint_size(path):
+    """The element count of the joint lcm-lattice check-map builds for the
+    document at path, or None when it reads no pair there."""
+    try:
+        pair = cli._pair_of(cli._read(path, DEFAULT, "ideal", "pair")).minimalize()
+        return lcm_semilattice(union_generators(pair)).lattice.n
+    except LcmlatError:
+        return None
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(sorted(_OPTIONS)), data=st.data(), other=_document,
-       image=_map | _junk, shifts=_shifts)
-def test_cli_never_crashes(tmp_path, capsys, command, data, other, image, shifts):
+       shifts=_shifts)
+def test_cli_never_crashes(tmp_path, capsys, command, data, other, shifts):
     doc = data.draw(st.one_of(*[_INPUT[command]] * 3, _document), label="doc")
-    paths = {}
-    for name, value in (("doc", doc), ("other", other), ("map", image), ("shifts", shifts)):
-        paths[name] = tmp_path / f"{name}.json"
+    paths = {name: tmp_path / f"{name}.json" for name in ("doc", "other", "map", "shifts")}
+    paths["doc"].write_text(json.dumps(doc))
+    # for check-map, half the images are the identity of the document's joint lattice
+    size = _joint_size(paths["doc"]) if command == "check-map" else None
+    identity = st.just({"image": list(range(size))}) if size else _map | _junk
+    image = data.draw(st.one_of(identity, _map | _junk), label="image")
+    for name, value in (("other", other), ("map", image), ("shifts", shifts)):
         paths[name].write_text(json.dumps(value))
     (tmp_path / "new.txt").unlink(missing_ok=True)
     (tmp_path / "old.txt").write_text("old\n")
@@ -163,6 +184,7 @@ def test_cli_never_crashes(tmp_path, capsys, command, data, other, image, shifts
     with pytest.raises(SystemExit) as info:
         main(argv)
     out, err = capsys.readouterr()
+    event(f"{command} exits {info.value.code}")
     assert info.value.code in (0, 1, 2), (argv, err)
     if info.value.code:
         assert out == ""

@@ -203,6 +203,27 @@ def test_realization_is_its_own_lcm_lattice_by_oracle(rng):
             assert standard_weights(gens) == (w.bottom, list(w.weights))
 
 
+def test_realized_monomials_are_products_of_weights_not_above(rng):
+    # generator x is the bottom weight times the weight of every element not
+    # above x, multiplied out here; a random bottom and exponents up to 2
+    from lcmlat import random_weighting, reconstruct
+
+    for lat in _small_lattices():
+        randomized = random_weighting(lat, rng)
+        bottom = Monomial([rng.randint(0, 2) for _ in randomized.variables])
+        for w in (chain_weighting(lat), canonical_weighting(lat),
+                  Weighting(lat, randomized.variables, bottom, randomized.weights)):
+            want = []
+            for x in range(lat.n):
+                exps = list(w.bottom)
+                for q in range(lat.n):
+                    if not lat.leq[x, q]:
+                        exps = [e + f for e, f in zip(exps, w.weights[q])]
+                want.append(tuple(exps))
+            assert [tuple(m) for m in realize(w).gens] == want
+            assert [tuple(reconstruct(w, x)) for x in range(lat.n)] == want
+
+
 def _perturbed(w, rng):
     """w with one weight changed: a variable raised, the unit, or an lcm with another."""
     weights = list(w.weights)

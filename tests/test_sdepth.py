@@ -1,5 +1,6 @@
 import json
 import random
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -379,7 +380,8 @@ def test_level_exact_search_decides_each_target(rng):
         best = brute_sdepth_pair(pair)
         for target in range(least + 1, len(level)):
             found = sdepth_module._first_to_finish(
-                [sdepth_module._level_exact_steps(target, full, up, down, level, 10**6)])
+                [sdepth_module._level_exact_steps(target, full, up, down, level, 10**6,
+                                                  DEFAULT.fail_cache_cap)])
             assert (found is not None) == (target <= best)
             if found is not None:
                 ok, value = verify_decomposition(
@@ -394,7 +396,7 @@ def test_search_starts_at_the_least_point_of_its_set():
     poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
     rest = (1 << poset.size) - 2
     found = sdepth_module._first_to_finish(
-        [sdepth_module._cover_steps(2, rest, up, down, level, 10**6)])
+        [sdepth_module._cover_steps(2, rest, up, down, level, 10**6, DEFAULT.fail_cache_cap)])
     covered = [up[a] & down[b] for a, b in found]
     assert sum(covered) == rest and all(c & rest == c for c in covered)
     assert found[0][0] == 1
@@ -412,7 +414,8 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
         keep = [p for i, p in enumerate(poset.points) if full >> i & 1]
         for target in range(1, len(level)):
             found = sdepth_module._first_to_finish(
-                [sdepth_module._cover_steps(target, full, up, down, level, 10**6)])
+                [sdepth_module._cover_steps(target, full, up, down, level, 10**6,
+                                            DEFAULT.fail_cache_cap)])
             expected = first_found_cover(poset.points, poset.ceiling, target, keep)
             outcomes.add(found is None)
             if found is None:
@@ -447,6 +450,38 @@ def test_least_budget_on_deep_searches(name, need):
 def test_deep_search_witness_matches_first_found_oracle(name, module):
     pair = module(gens_from_json(json.loads((GOLDEN / f"ideal_{name}.json").read_text())))
     assert sdepth_solve(pair).witness == first_found_witness(*box_points(pair))
+
+
+# the frames each pushes over all the searches sdepth_solve runs, in
+# one-frame slices; a prune that drops or adds a frame changes the count
+# even where the witness survives
+_DEEP_FRAMES = {("a7_8", "ideal"): 2019, ("a8_12", "ideal"): 8588, ("b8_0", "ideal"): 574,
+                ("a7_8", "quotient-ring"): 0, ("a8_12", "quotient-ring"): 0,
+                ("b8_0", "quotient-ring"): 65}
+
+
+@pytest.mark.parametrize("name, module", sorted(_DEEP_FRAMES))
+def test_frames_of_deep_searches(name, module, monkeypatch):
+    make = {"ideal": ideal_pair, "quotient-ring": quotient_ring_pair}[module]
+    pair = make(gens_from_json(json.loads((GOLDEN / f"ideal_{name}.json").read_text())))
+    real = sdepth_module._first_to_finish
+    frames = []
+
+    def counted(search):
+        while True:
+            try:
+                next(search)
+            except StopIteration as end:
+                return end.value
+            frames.append(1)
+            yield
+
+    monkeypatch.setattr(sdepth_module, "_SLICE", 1)
+    monkeypatch.setattr(sdepth_module, "_first_to_finish",
+                        lambda searches, *rest: real([counted(s) for s in searches], *rest))
+    golden = json.loads((GOLDEN / f"ideal_{name}.sdepth_{module}.json").read_text())
+    assert sdepth_solve(pair).to_json() == golden
+    assert len(frames) == _DEEP_FRAMES[name, module]
 
 
 def test_witness_policy_of_each_entry_point(monkeypatch):
@@ -542,9 +577,37 @@ def test_grid_cap_boundary():
     pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x^1999", "y^1999")))
     assert pos.size == 3999
     assert all(1999 in p for p in pos.points)
-    assert sdepth_module._GRID_CAP == 4_000_000
+    assert DEFAULT.grid_cap == 4_000_000
     with pytest.raises(LimitExceeded, match="^search box exceeds 4000000 cells$"):
         characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2000", "y^1999")))
+
+
+def test_grid_cap_config():
+    # (x^9, y^9): the cells run from (0, 0) to (9, 9)
+    pair = ideal_pair(_gens(("x", "y"), "x^9", "y^9"))
+    assert characteristic_poset(pair, Config(grid_cap=100)).size == 19
+    with pytest.raises(LimitExceeded, match="^search box exceeds 99 cells$"):
+        characteristic_poset(pair, Config(grid_cap=99))
+
+
+def test_target_cap_is_the_least_highest_count_above_a_point(rng, monkeypatch):
+    # before the Hilbert cap, the target cap is the least, over the points,
+    # of the highest ceiling count of a point above it, here from coordinates
+    from conftest import random_ideal, random_proper_pair
+
+    monkeypatch.setattr(sdepth_module, "_hilbert_cap", lambda poset: len(poset.ceiling))
+    pairs = [random_proper_pair(rng, max_vars=4, max_gens=3, max_exp=2) for _ in range(40)]
+    for _ in range(40):
+        gens = random_ideal(rng, max_vars=4, max_gens=4, max_exp=2).minimalize()
+        pairs += [ideal_pair(gens), quotient_ring_pair(gens)]
+    caps = set()
+    for pair in pairs:
+        pts, g = box_points(pair)
+        count = {q: sum(a == b for a, b in zip(q, g)) for q in pts}
+        want = min(max(count[q] for q in pts if all(map(le, p, q))) for p in pts)
+        assert sdepth_module._search_setup(pair, DEFAULT)[5] == want
+        caps.add(want)
+    assert len(caps) > 2
 
 
 def test_poset_matches_box_scan(rng):
