@@ -23,10 +23,6 @@ class Config:
     element_cap: int = 4096
     # hard cap on characteristic poset points
     poset_cap: int = 20000
-    # hard cap on the box cells the characteristic poset is cut from
-    grid_cap: int = 4_000_000
-    # states a Stanley-depth search remembers as failed; past it, it forgets
-    fail_cache_cap: int = 2 ** 18
     # hard cap on the Lyubeznik faces one Betti table enumerates
     subset_cap: int = 2 ** 14
     # "Q" for exact rationals, ("GF", p) for a prime field

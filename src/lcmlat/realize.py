@@ -28,7 +28,6 @@ from .monomials import (
     _realized,
     _standard_weights,
     m_coprime,
-    reconstruct,
     union_generators,
     weight_map,
 )
@@ -205,7 +204,7 @@ def equalize_degrees(w: Weighting, antichain) -> Weighting:
     if not ok:
         raise InvalidWeighting(witness)
 
-    degs = [reconstruct(w, a).degree() for a in antichain]
+    degs = [m.degree() for m in _realized(w, antichain)]
     rounds = []  # per round, its tops: one fresh variable each
     while max(degs) != min(degs):
         tops = [a for a, d in zip(antichain, degs) if d == max(degs)]
@@ -223,7 +222,7 @@ def equalize_degrees(w: Weighting, antichain) -> Weighting:
             for x, m in enumerate(w.weights)
         ),
     )
-    if len({reconstruct(out, a).degree() for a in antichain}) != 1:
+    if len({m.degree() for m in _realized(out, antichain)}) != 1:
         raise InternalError("the equalized antichain spans several degrees")
     return out
 

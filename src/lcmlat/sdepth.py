@@ -63,7 +63,9 @@ from .errors import InternalError, LimitExceeded
 from .lattice import _bits
 from .monomials import Monomial, QuotientPair, _interval_masks, colon, union_generators
 
+_FAIL_CACHE_CAP = 1 << 18
 _SLICE = 2000  # frames a search pushes before it yields its turn
+_GRID_CAP = 4_000_000
 
 
 @dataclass
@@ -97,8 +99,8 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     cells = 1
     for w in side:
         cells *= w
-        if cells > config.grid_cap:
-            raise LimitExceeded(f"search box exceeds {config.grid_cap} cells")
+        if cells > _GRID_CAP:
+            raise LimitExceeded(f"search box exceeds {_GRID_CAP} cells")
     # cells are numbered in mixed radix, the last coordinate fastest, so cell
     # order is lex order; stride[j] is the step of coordinate j
     stride = [1] * len(g)
@@ -141,7 +143,7 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
 
 
-def _cover_steps(target, full, up, down, level, budget, fail_cap):
+def _cover_steps(target, full, up, down, level, budget):
     """A search for a partition of `full` into intervals whose tops all reach
     `target`, run in slices: it yields after every _SLICE pushed frames and
     returns the partition, or None when there is none.
@@ -152,8 +154,8 @@ def _cover_steps(target, full, up, down, level, budget, fail_cap):
     (uncovered, a, above, r, pending): the state, its bottom, the uncovered
     points above it and above no covered point of `full`, the level walked
     and the tops of that level not yet tried.  Dead and exhausted states go
-    to the fail cache, which holds at most `fail_cap` states.  Pushing more
-    than `budget` frames raises LimitExceeded.
+    to the fail cache.  Pushing more than `budget` frames raises
+    LimitExceeded.
     """
     high = 0
     for m in level[target:]:
@@ -200,7 +202,7 @@ def _cover_steps(target, full, up, down, level, budget, fail_cap):
                 r -= 1
                 pending = above & level[r]
                 continue
-            if len(fail) < fail_cap:
+            if len(fail) < _FAIL_CACHE_CAP:
                 fail.add(uncovered)
             if not frames:
                 return None
@@ -221,7 +223,7 @@ def _cover_steps(target, full, up, down, level, budget, fail_cap):
             return chosen
         if dead(rest, b):
             chosen.pop()
-            if len(fail) < fail_cap:
+            if len(fail) < _FAIL_CACHE_CAP:
                 fail.add(rest)
             continue
         pushed += 1
@@ -237,7 +239,7 @@ def _cover_steps(target, full, up, down, level, budget, fail_cap):
             yield
 
 
-def _level_exact_steps(target, full, up, down, level, budget, fail_cap):
+def _level_exact_steps(target, full, up, down, level, budget):
     """The search of _cover_steps with every top at level `target` exactly.
 
     Stanley depth is at least k exactly when the points of ceiling count
@@ -252,8 +254,7 @@ def _level_exact_steps(target, full, up, down, level, budget, fail_cap):
     for m in level[target + 1:]:
         higher |= m
     higher &= full
-    found = yield from _cover_steps(target, full ^ higher, up, down, level[:target + 1], budget,
-                                    fail_cap)
+    found = yield from _cover_steps(target, full ^ higher, up, down, level[:target + 1], budget)
     if found is not None:
         found += [(i, i) for i in range(len(up)) if higher >> i & 1]
     return found
@@ -389,10 +390,9 @@ def _decide(pair, config, budget, race):
     witness = [(i, i) for i in range(poset.size)]
     colon_cap = cache(lambda: _colon_cap(pair, poset, config))
     for target in range(value + 1, tcap + 1):
-        args = (target, full, up, down, level, budget, config.fail_cache_cap)
-        searches = [_cover_steps(*args)]
+        searches = [_cover_steps(target, full, up, down, level, budget)]
         if race:
-            searches.insert(0, _level_exact_steps(*args))
+            searches.insert(0, _level_exact_steps(target, full, up, down, level, budget))
         found = _first_to_finish(searches, (lambda: target > colon_cap()) if race else None)
         if found is None:
             break

@@ -380,8 +380,7 @@ def test_level_exact_search_decides_each_target(rng):
         best = brute_sdepth_pair(pair)
         for target in range(least + 1, len(level)):
             found = sdepth_module._first_to_finish(
-                [sdepth_module._level_exact_steps(target, full, up, down, level, 10**6,
-                                                  DEFAULT.fail_cache_cap)])
+                [sdepth_module._level_exact_steps(target, full, up, down, level, 10**6)])
             assert (found is not None) == (target <= best)
             if found is not None:
                 ok, value = verify_decomposition(
@@ -396,7 +395,7 @@ def test_search_starts_at_the_least_point_of_its_set():
     poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
     rest = (1 << poset.size) - 2
     found = sdepth_module._first_to_finish(
-        [sdepth_module._cover_steps(2, rest, up, down, level, 10**6, DEFAULT.fail_cache_cap)])
+        [sdepth_module._cover_steps(2, rest, up, down, level, 10**6)])
     covered = [up[a] & down[b] for a, b in found]
     assert sum(covered) == rest and all(c & rest == c for c in covered)
     assert found[0][0] == 1
@@ -414,8 +413,7 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
         keep = [p for i, p in enumerate(poset.points) if full >> i & 1]
         for target in range(1, len(level)):
             found = sdepth_module._first_to_finish(
-                [sdepth_module._cover_steps(target, full, up, down, level, 10**6,
-                                            DEFAULT.fail_cache_cap)])
+                [sdepth_module._cover_steps(target, full, up, down, level, 10**6)])
             expected = first_found_cover(poset.points, poset.ceiling, target, keep)
             outcomes.add(found is None)
             if found is None:
@@ -577,17 +575,9 @@ def test_grid_cap_boundary():
     pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x^1999", "y^1999")))
     assert pos.size == 3999
     assert all(1999 in p for p in pos.points)
-    assert DEFAULT.grid_cap == 4_000_000
+    assert sdepth_module._GRID_CAP == 4_000_000
     with pytest.raises(LimitExceeded, match="^search box exceeds 4000000 cells$"):
         characteristic_poset(ideal_pair(_gens(("x", "y"), "x^2000", "y^1999")))
-
-
-def test_grid_cap_config():
-    # (x^9, y^9): the cells run from (0, 0) to (9, 9)
-    pair = ideal_pair(_gens(("x", "y"), "x^9", "y^9"))
-    assert characteristic_poset(pair, Config(grid_cap=100)).size == 19
-    with pytest.raises(LimitExceeded, match="^search box exceeds 99 cells$"):
-        characteristic_poset(pair, Config(grid_cap=99))
 
 
 def test_target_cap_is_the_least_highest_count_above_a_point(rng, monkeypatch):
