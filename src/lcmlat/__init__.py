@@ -97,6 +97,7 @@ from .sdepth import (
     characteristic_poset,
     sdepth_solve,
     sdepth_value,
+    sdepth_values,
     verify_decomposition,
 )
 from .classify import (

@@ -10,7 +10,9 @@ class's lattice reports, so it never tests irreducibility on the family.
 Each class is measured on a monomial realization: projective dimension and
 Stanley projective dimension of both the ideal and its quotient ring.  These
 depend on the lcm-lattice alone, so the narrowest realization, one variable
-per chain of meet-irreducibles, serves."""
+per chain of meet-irreducibles, serves.  The Stanley depths of I and S/I
+are decided on one box [0, g] of that realization, whose order masks are
+cached by g: the 5-atom census meets 528 shapes of box over 7443 classes."""
 
 import random
 from dataclasses import asdict, dataclass, replace
@@ -21,7 +23,7 @@ from .lattice import Semilattice, _canon_family, boolean_semilattice, family_sem
 from .monomials import GeneratorSet, Monomial, Weighting, ideal_pair, quotient_ring_pair
 from .realize import chain_weighting, realize
 from .resolution import taylor_betti
-from .sdepth import sdepth_value
+from .sdepth import sdepth_values
 
 
 def enumerate_atomistic(k: int, config: Config = DEFAULT):
@@ -75,8 +77,7 @@ def _invariants_of_gens(gens: GeneratorSet, config: Config):
     bq = taylor_betti(quotient_ring_pair(slim), config)
     if bq.pdim != bi.pdim + 1:
         raise InternalError("quotient ring must sit one step above its ideal")
-    si = sdepth_value(ideal_pair(slim), config)
-    sq = sdepth_value(quotient_ring_pair(slim), config)
+    si, sq = sdepth_values(slim, config)
     return LatticeInvariants(
         bi.pdim, bq.pdim, slim.nvars - si, slim.nvars - sq, slim.nvars, bq.field
     )

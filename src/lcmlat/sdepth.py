@@ -50,22 +50,39 @@ level from the highest down, lowest index first.  No interval bottomed at a
 point tops out above the highest level over it, so the targets stop at the
 highest level whose points' down-sets, ORed from the top level down, cover
 the poset.
+
+The census measures I and S/I of one generator set at once (sdepth_values).
+Their points split one box [0, g] (I's own box starts at the gcd, but holds
+no point below it): I's points are the up-sets of its generators, an up-set
+of the box, and S/I's the rest, a down-set.  Both are convex in the box, so
+the search runs on the order masks of all its cells, restricted to one side,
+and each side's points keep their relative (degree, lex) order there: the
+frames and the value are those of the side's own poset.  The boxes, with
+their cells, order masks and levels, are kept by g in a least-recently-used
+cache of at most _BOX_CACHE_CELLS cells in all, since the census meets few
+shapes of box; a larger box is built and not kept.  A box with more cells
+than the poset cap or the grid cap is not built at all: each side then runs
+on its own poset, both posets built first, so the limits are met as the two
+pairs meet them, I first, before any order mask is built.
 """
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import accumulate, product
-from math import inf
+from itertools import accumulate, compress, product
+from math import inf, prod
 from operator import eq, gt
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded
 from .lattice import _bits
-from .monomials import Monomial, QuotientPair, _interval_masks, colon, union_generators
+from .monomials import (GeneratorSet, Monomial, QuotientPair, _interval_masks, colon, ideal_pair,
+                        quotient_ring_pair, union_generators)
 
 _FAIL_CACHE_CAP = 1 << 18
 _SLICE = 2000  # frames a search pushes before it yields its turn
 _GRID_CAP = 4_000_000
+_BOX_CACHE_CELLS = 1 << 14  # the cells of all cached boxes together
 
 
 @dataclass
@@ -73,6 +90,11 @@ class CharacteristicPoset:
     variables: tuple
     ceiling: tuple  # the box top g
     points: tuple  # sorted by (degree, lex); a linear extension of divisibility
+    ceiling_counts: tuple = field(default=None, repr=False)  # of each point, in point order
+
+    def __post_init__(self):
+        if self.ceiling_counts is None:
+            self.ceiling_counts = tuple(map(self.ceiling_count, self.points))
 
     @property
     def size(self):
@@ -81,11 +103,6 @@ class CharacteristicPoset:
     def ceiling_count(self, point):
         """Coordinates pinned to the box top; zero-capped variables count."""
         return sum(map(eq, point, self.ceiling))
-
-    @cached_property
-    def ceiling_counts(self):
-        """The ceiling count of each point, in point order."""
-        return tuple(map(self.ceiling_count, self.points))
 
 
 def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> CharacteristicPoset:
@@ -141,6 +158,69 @@ def characteristic_poset(pair: QuotientPair, config: Config = DEFAULT) -> Charac
     # a stable sort by degree: the cells come in lex order
     pts = sorted(zip(*coords), key=sum) if g else [()] * len(found)
     return CharacteristicPoset(slim.variables, tuple(g), tuple(pts))
+
+
+@dataclass
+class _Box:
+    """Points in (degree, lex) order, their ceiling counts and their order
+    masks: up[i] and down[i] hold the points componentwise above and below
+    point i, level[r] those of ceiling count r."""
+    points: tuple
+    counts: tuple
+    up: list
+    down: list
+    level: list
+
+    @cached_property
+    def index(self):
+        """The position of each point."""
+        return {p: i for i, p in enumerate(self.points)}
+
+
+def _ordered(points, counts, nvars):
+    """The _Box of points sorted by (degree, lex), of ceiling counts `counts`."""
+    level = [0] * (nvars + 1)
+    for i, r in enumerate(counts):
+        level[r] |= 1 << i
+    return _Box(points, counts, *_interval_masks(points), level)
+
+
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask, n):
+    """One byte per index below n, 1 where mask has that bit: selectors for compress."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_FLAG)
+
+
+class _BoxCache:
+    """The boxes [0, g] by g, least recently used first, holding at most
+    _BOX_CACHE_CELLS cells in all; a box with more is built and not kept."""
+
+    def __init__(self):
+        self.boxes = OrderedDict()
+        self.cells = self.hits = self.misses = 0
+
+    def __call__(self, g):
+        box = self.boxes.get(g)
+        if box is not None:
+            self.hits += 1
+            self.boxes.move_to_end(g)
+            return box
+        self.misses += 1
+        # product yields the cells in lex order, and the sort by degree is stable
+        cells = tuple(sorted(product(*(range(e + 1) for e in g)), key=sum))
+        box = _ordered(cells, tuple(sum(map(eq, c, g)) for c in cells), len(g))
+        size = len(cells)
+        if size <= _BOX_CACHE_CELLS:
+            while self.cells + size > _BOX_CACHE_CELLS:
+                self.cells -= len(self.boxes.popitem(last=False)[1].points)
+            self.boxes[g] = box
+            self.cells += size
+        return box
+
+
+_boxes = _BoxCache()
 
 
 def _cover_steps(target, full, up, down, level, budget):
@@ -256,7 +336,7 @@ def _level_exact_steps(target, full, up, down, level, budget):
     higher &= full
     found = yield from _cover_steps(target, full ^ higher, up, down, level[:target + 1], budget)
     if found is not None:
-        found += [(i, i) for i in range(len(up)) if higher >> i & 1]
+        found += [(i, i) for i in compress(range(len(up)), _flags(higher, len(up)))]
     return found
 
 
@@ -332,26 +412,21 @@ class SdepthReport:
         }
 
 
-def _search_setup(pair, config):
-    """The poset, its level and interval masks, the least ceiling count and
-    the cap on the target: the least over the points of the highest level
-    above them (see the module docstring), and the Hilbert cap."""
-    poset = characteristic_poset(pair, config)
-    level = [0] * (len(poset.variables) + 1)
-    for i, r in enumerate(poset.ceiling_counts):
-        level[r] |= 1 << i
-    up, down = _interval_masks(poset.points)
-    value = next(r for r, m in enumerate(level) if m)
-    full = (1 << poset.size) - 1
+def _target_range(poset, box, full):
+    """The least ceiling count over the points of `full` and the cap on the
+    target: the least over those points of the highest level above them (see
+    the module docstring), and the Hilbert cap of `poset`, their poset."""
+    level, down = box.level, box.down
+    value = next(r for r, m in enumerate(level) if m & full)
     covered = 0
     tcap = len(level)
-    while covered != full:  # the highest level whose down-sets cover the poset
+    while full & ~covered:  # the highest level whose down-sets cover the points
         tcap -= 1
-        for q in _bits(level[tcap]):
+        for q in _bits(level[tcap] & full):
             covered |= down[q]
     if tcap > value:  # only a search can use the cap
         tcap = min(tcap, _hilbert_cap(poset))
-    return poset, level, up, down, value, tcap
+    return value, tcap
 
 
 def _colon_cap(pair, poset, config):
@@ -373,10 +448,12 @@ def _colon_cap(pair, poset, config):
     return cap
 
 
-def _decide(pair, config, budget, race):
-    """(poset, value, witness): the Stanley depth of the pair and its witness
-    as point pairs, verified to tile the poset, the targets above the least
-    ceiling count tried one by one up to the first that fails.
+def _decide(pair, poset, box, full, config, budget, race):
+    """(value, witness): the Stanley depth of the pair and its witness as
+    point pairs, verified to tile `poset`, the targets above the least
+    ceiling count tried one by one up to the first that fails.  The search
+    runs on the order masks of `box`, restricted to `full`, the mask of the
+    pair's points there; each point of `poset` keeps its relative order.
 
     Without race, the cover search alone decides each target, so the witness
     is the first partition found.  With race, the level-exact search and the
@@ -385,9 +462,9 @@ def _decide(pair, config, budget, race):
     the first slices is checked against the colon cap, computed once.  Each
     search pushes at most `budget` frames, or LimitExceeded is raised.
     """
-    poset, level, up, down, value, tcap = _search_setup(pair, config)
-    full = (1 << poset.size) - 1
-    witness = [(i, i) for i in range(poset.size)]
+    level, up, down = box.level, box.up, box.down
+    value, tcap = _target_range(poset, box, full)
+    witness = None
     colon_cap = cache(lambda: _colon_cap(pair, poset, config))
     for target in range(value + 1, tcap + 1):
         searches = [_cover_steps(target, full, up, down, level, budget)]
@@ -398,18 +475,27 @@ def _decide(pair, config, budget, race):
             break
         witness = found
         value = target
-    pts = poset.points
+    pts = box.points
+    if witness is None:
+        witness = [(i, i) for i in compress(range(len(pts)), _flags(full, len(pts)))]
     intervals = tuple((pts[a], pts[b]) for a, b in witness)
     ok, achieved = verify_decomposition(poset, intervals)
     if not ok or achieved < value:
         raise InternalError(f"the witness of Stanley depth {value} does not verify")
-    return poset, value, intervals
+    return value, intervals
+
+
+def _own_box(poset):
+    """The poset, its order masks over its own points, and the mask of all of them."""
+    box = _ordered(poset.points, poset.ceiling_counts, len(poset.ceiling))
+    return poset, box, (1 << poset.size) - 1
 
 
 def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> SdepthReport:
     """Exact Stanley depth, its complement, and the first optimal interval
     partition the cover search finds, run alone; see _decide for `budget`."""
-    poset, value, witness = _decide(pair, config, budget, race=False)
+    poset, box, full = _own_box(characteristic_poset(pair, config))
+    value, witness = _decide(pair, poset, box, full, config, budget, race=False)
     nvars = len(poset.variables)
     return SdepthReport(value, nvars - value, nvars, poset.ceiling, poset.size, witness)
 
@@ -417,25 +503,54 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> Sd
 def sdepth_value(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> int:
     """Exact Stanley depth alone, each target raced by two searches and
     checked against the colon cap; see _decide for `budget`."""
-    return _decide(pair, config, budget, race=True)[1]
+    return _decide(pair, *_own_box(characteristic_poset(pair, config)), config, budget, race=True)[0]
+
+
+def sdepth_values(gens: GeneratorSet, config: Config = DEFAULT):
+    """(sdepth I, sdepth S/I) of the ideal the generators span, each decided
+    as sdepth_value decides it, on the one cached box [0, g]: the points of I
+    are the up-sets of its minimal generators, those of S/I the rest.  Limits
+    are those of the two pairs' own posets, I first, and are met before any
+    order mask is built."""
+    slim = gens.minimalize()
+    pairs = ideal_pair(slim), quotient_ring_pair(slim)
+    g = tuple(slim.lcm())
+    if prod(e + 1 for e in g) > min(config.poset_cap, _GRID_CAP):
+        # a cap may be reached, and the box would outgrow a side's poset:
+        # both posets are built, and so checked, before either is searched
+        posets = [characteristic_poset(pair, config) for pair in pairs]
+        return tuple(_decide(pair, *_own_box(poset), config, inf, race=True)[0]
+                     for pair, poset in zip(pairs, posets))
+    for pair in pairs:
+        pair.require_proper()
+    box = _boxes(g)
+    inside = 0
+    for m in slim.gens:
+        inside |= box.up[box.index[m]]
+    n = len(box.points)
+    values = []
+    for pair, full in zip(pairs, (inside, ((1 << n) - 1) ^ inside)):
+        flags = _flags(full, n)
+        poset = CharacteristicPoset(slim.variables, g, tuple(compress(box.points, flags)),
+                                    tuple(compress(box.counts, flags)))
+        values.append(_decide(pair, poset, box, full, config, inf, race=True)[0])
+    return tuple(values)
 
 
 def verify_decomposition(poset: CharacteristicPoset, intervals):
     """(ok, value): intervals must tile the poset exactly; value is min ceiling count."""
-    points = set(poset.points)
-    seen = set()
+    rest = set(poset.points)  # the points no interval has covered yet
     value = None
     for a, b in intervals:
         a, b = tuple(a), tuple(b)
-        if a not in points or b not in points or any(map(gt, a, b)):
+        if any(map(gt, a, b)):
             return False, None
-        for p in product(*map(range, a, [y + 1 for y in b])):
-            if p not in points or p in seen:
-                return False, None
-            seen.add(p)
+        cell = set(product(*map(range, a, [y + 1 for y in b])))
+        if not cell <= rest:  # a point outside the poset, or covered twice
+            return False, None
+        rest -= cell
         r = poset.ceiling_count(b)
         value = r if value is None else min(value, r)
-    if len(seen) != poset.size:
+    if rest:
         return False, None
     return True, value
-

@@ -69,6 +69,21 @@ def box_points(pair):
     return pts, g
 
 
+def box_cells(g):
+    """Every exponent vector c with 0 <= c <= g, sorted by (degree, exponents)."""
+    return sorted(product(*(range(e + 1) for e in g)), key=lambda c: (sum(c), c))
+
+
+def order_masks_by_definition(points):
+    """(up, down): bit j of up[i] is set when points[j] is at least points[i]
+    in every coordinate, and bit j of down[i] when it is at most."""
+    up = [sum(1 << j for j, q in enumerate(points) if all(x <= y for x, y in zip(p, q)))
+          for p in points]
+    down = [sum(1 << j for j, q in enumerate(points) if all(x >= y for x, y in zip(p, q)))
+            for p in points]
+    return up, down
+
+
 def brute_sdepth_pair(pair):
     """Characteristic box points computed from scratch, then brute_sdepth."""
     return brute_sdepth(*box_points(pair))

@@ -1,13 +1,17 @@
 import json
 import random
-from operator import le
+from itertools import product
+from operator import add, eq, le
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcmlat import (
+    EmptyModule,
     GeneratorSet,
     InternalError,
+    LcmlatError,
     LimitExceeded,
     Monomial,
     QuotientPair,
@@ -16,15 +20,17 @@ from lcmlat import (
     ideal_pair,
     parse_monomial,
     quotient_ring_pair,
+    realize,
     sdepth_solve,
     sdepth_value,
+    sdepth_values,
     verify_decomposition,
 )
 from lcmlat import sdepth as sdepth_module
 from lcmlat.config import DEFAULT, Config
 
-from oracles import (box_points, brute_sdepth_pair, first_found_cover, first_found_witness,
-                     polarized_hilbert_cap)
+from oracles import (box_cells, box_points, brute_sdepth_pair, first_found_cover,
+                     first_found_witness, order_masks_by_definition, polarized_hilbert_cap)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -371,11 +377,17 @@ def test_value_matches_brute_force_in_single_frame_slices(rng, monkeypatch):
     assert 0 < len(calls) < len(pairs)
 
 
+def _setup(pair):
+    """(poset, level, up, down, least ceiling count, target cap) of the pair's own search."""
+    poset, box, full = sdepth_module._own_box(characteristic_poset(pair))
+    return (poset, box.level, box.up, box.down, *sdepth_module._target_range(poset, box, full))
+
+
 def test_level_exact_search_decides_each_target(rng):
     # alone, the level-exact search finds a partition exactly up to the
     # Stanley depth, and its partition plus singletons verifies
     for pair in _small_pairs(rng):
-        poset, level, up, down, least, _ = sdepth_module._search_setup(pair, DEFAULT)
+        poset, level, up, down, least, _ = _setup(pair)
         full = (1 << poset.size) - 1
         best = brute_sdepth_pair(pair)
         for target in range(least + 1, len(level)):
@@ -392,7 +404,7 @@ def test_search_starts_at_the_least_point_of_its_set():
     # (x, y, z) at depth 2 without its point 0, z: a search that took its
     # first bottom at index 0 could place no interval and would fail
     pair = ideal_pair(_gens(("x", "y", "z"), "x", "y", "z"))
-    poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
+    poset, level, up, down, _, _ = _setup(pair)
     rest = (1 << poset.size) - 2
     found = sdepth_module._first_to_finish(
         [sdepth_module._cover_steps(2, rest, up, down, level, 10**6)])
@@ -406,7 +418,7 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
     # point is never taken, and the partition is the first one a plain search finds
     outcomes = set()
     for pair in _small_pairs(rng):
-        poset, level, up, down, _, _ = sdepth_module._search_setup(pair, DEFAULT)
+        poset, level, up, down, _, _ = _setup(pair)
         full = sum(1 << i for i in range(poset.size) if rng.random() < 0.8)
         if not full or full == (1 << poset.size) - 1:
             continue
@@ -595,7 +607,7 @@ def test_target_cap_is_the_least_highest_count_above_a_point(rng, monkeypatch):
         pts, g = box_points(pair)
         count = {q: sum(a == b for a, b in zip(q, g)) for q in pts}
         want = min(max(count[q] for q in pts if all(map(le, p, q))) for p in pts)
-        assert sdepth_module._search_setup(pair, DEFAULT)[5] == want
+        assert _setup(pair)[5] == want
         caps.add(want)
     assert len(caps) > 2
 
@@ -621,3 +633,191 @@ def test_report_json_shape():
     assert doc["g"] == [1, 1]
     assert doc["poset_size"] == 3
     assert all(len(iv) == 2 for iv in doc["witness"])
+
+
+# ---------------- the census path: I and S/I on one cached box ----------------
+
+
+def _each_pair(gens, config=DEFAULT):
+    """(sdepth I, sdepth S/I) by the two per-pair calls, or the error the first raises."""
+    try:
+        return tuple(sdepth_value(make(gens), config) for make in (ideal_pair, quotient_ring_pair))
+    except LcmlatError as err:
+        return type(err), str(err)
+
+
+def _census_path(gens, config=DEFAULT):
+    """sdepth_values(gens), or the error it raises."""
+    try:
+        return sdepth_values(gens, config)
+    except LcmlatError as err:
+        return type(err), str(err)
+
+
+def test_census_path_matches_each_pair_on_small_classes(rng):
+    # every class up to 4 atoms, realized three ways; the canonical and
+    # random realizations put a gcd under I's generators, the one-element
+    # lattice realizes as the unit ideal, whose S/I is the zero module
+    from lcmlat import canonical_weighting, chain_weighting, enumerate_atomistic, random_weighting
+
+    outcomes = set()
+    for k in range(1, 5):
+        for _, lat in enumerate_atomistic(k):
+            for w in (chain_weighting(lat), canonical_weighting(lat), random_weighting(lat, rng)):
+                gens = realize(w)
+                got = _census_path(gens)
+                assert got == _each_pair(gens)
+                outcomes.add(got[0] is EmptyModule)
+    assert outcomes == {True, False}
+
+
+_gapped_gens = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
+        st.lists(st.lists(st.sampled_from((0, 1, 3)), min_size=n, max_size=n),
+                 min_size=1, max_size=4),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gapped_gens)
+def test_census_path_matches_each_pair_on_gapped_generators(drawn):
+    # generators d + v with a common factor d != 1 and exponents v from {0, 1, 3}:
+    # I's own box starts at the gcd, and no generator has exponent 2 over it
+    gcd, shifts = drawn
+    names = tuple(f"x{j}" for j in range(len(gcd)))
+    gens = GeneratorSet(names, [Monomial(map(add, gcd, v)) for v in shifts]).minimalize()
+    assert sdepth_values(gens) == _each_pair(gens)
+
+
+# the frames the searches of both sides push in one-frame slices, on the
+# 4-atom classes whose searches push the most
+_CLASS_FRAMES = {("A4;1,2,3,4,5,6,7,8,9,a,c,f", "canonical"): 117,
+                 ("A4;1,2,3,4,5,6,7,8,9,a,b,c,f", "canonical"): 115,
+                 ("A4;1,2,3,4,5,7,8,9,f", "canonical"): 108,
+                 ("A4;1,2,3,4,5,6,7,8,9,a,c,f", "chain"): 100}
+
+
+@pytest.mark.parametrize("key, weighting", sorted(_CLASS_FRAMES))
+def test_census_path_pushes_the_frames_of_each_pair(key, weighting, monkeypatch):
+    from lcmlat import canonical_weighting, chain_weighting, enumerate_atomistic
+
+    lat = next(lat for k, lat in enumerate_atomistic(4) if k.decode() == key)
+    make = {"chain": chain_weighting, "canonical": canonical_weighting}[weighting]
+    gens = realize(make(lat))
+    real = sdepth_module._first_to_finish
+    frames = []
+
+    def counted(search):
+        while True:
+            try:
+                next(search)
+            except StopIteration as end:
+                return end.value
+            frames.append(1)
+            yield
+
+    monkeypatch.setattr(sdepth_module, "_SLICE", 1)
+    monkeypatch.setattr(sdepth_module, "_first_to_finish",
+                        lambda searches, *rest: real([counted(s) for s in searches], *rest))
+    values = sdepth_values(gens)
+    census = len(frames)
+    assert values == _each_pair(gens)
+    assert census == len(frames) - census == _CLASS_FRAMES[key, weighting]
+
+
+@pytest.fixture
+def boxes(monkeypatch):
+    """A fresh, empty box cache for the test."""
+    fresh = sdepth_module._BoxCache()
+    monkeypatch.setattr(sdepth_module, "_boxes", fresh)
+    return fresh
+
+
+def _assert_box_of(box, g):
+    # the cells of [0, g] in (degree, lex) order, their order masks by
+    # definition and by _interval_masks, and their ceiling levels
+    cells = box_cells(g)
+    assert list(box.points) == cells
+    assert (box.up, box.down) == order_masks_by_definition(cells)
+    assert (box.up, box.down) == sdepth_module._interval_masks(box.points)
+    levels = [sum(1 << i for i, c in enumerate(cells) if sum(map(eq, c, g)) == r)
+              for r in range(len(g) + 1)]
+    assert box.level == levels
+
+
+def test_cached_box_masks_match_definition(boxes):
+    # each shape comes before or after a reordering of its variables
+    shapes = [(1, 2), (2, 1), (0, 3, 1), (1, 3, 0), (3, 0, 1), (2, 1, 1), (1, 1, 2), (0,), ()]
+    for g in shapes:
+        box = sdepth_module._boxes(g)
+        _assert_box_of(box, g)
+        assert sdepth_module._boxes(g) is box
+    assert (boxes.misses, boxes.hits) == (len(shapes), len(shapes))
+    assert list(boxes.boxes) == shapes
+
+
+def test_box_cache_stays_within_its_bound(boxes, monkeypatch):
+    monkeypatch.setattr(sdepth_module, "_BOX_CACHE_CELLS", 40)
+    shapes = [g for n in (1, 2, 3) for g in product(range(4), repeat=n)]
+    for g in shapes + shapes[::-1]:
+        box = sdepth_module._boxes(g)
+        _assert_box_of(box, g)
+        held = [len(kept.points) for kept in boxes.boxes.values()]
+        assert boxes.cells == sum(held) <= 40
+        assert (list(boxes.boxes)[-1] == g) == (len(box.points) <= 40)
+    assert boxes.hits > 0
+    # the least recently used box goes first, not the first one kept
+    for g in ((0, 3, 3), (3, 3, 0), (1, 2), (2, 1)):
+        _assert_box_of(sdepth_module._boxes(g), g)
+    assert (0, 3, 3) not in boxes.boxes
+    for g in ((3, 3, 0), (0, 3, 3)):
+        _assert_box_of(sdepth_module._boxes(g), g)
+    assert list(boxes.boxes) == [(2, 1), (3, 3, 0), (0, 3, 3)]
+
+
+def test_box_larger_than_the_bound_is_not_kept(boxes, monkeypatch):
+    monkeypatch.setattr(sdepth_module, "_BOX_CACHE_CELLS", 40)
+    sdepth_module._boxes((1, 2))
+    huge = (3, 10)  # 44 cells
+    _assert_box_of(sdepth_module._boxes(huge), huge)
+    assert list(boxes.boxes) == [(1, 2)] and boxes.cells == 6
+    _assert_box_of(sdepth_module._boxes((2, 1)), (2, 1))
+    full = (4, 1, 3)  # 40 cells: a box of the bound itself is kept
+    _assert_box_of(sdepth_module._boxes(full), full)
+    assert list(boxes.boxes) == [full] and boxes.cells == 40
+
+
+def test_census_path_keeps_the_limits_of_each_pair(monkeypatch):
+    # the same error as the two per-pair calls, I before S/I, and no box
+    # built once a limit is met: a box past the grid cap would not fit in memory
+    vs = ("x", "y", "z")
+    grid = (LimitExceeded, "search box exceeds 4000000 cells")
+    cases = [(_gens(("x", "y"), "x^2000*y^1999"), DEFAULT, grid),  # S/I only
+             (_gens(("x", "y"), "x^2000", "y^1999"), DEFAULT, grid),  # I already
+             (GeneratorSet(vs, []), DEFAULT, EmptyModule),  # I is zero
+             (GeneratorSet(vs, [Monomial((0, 0, 0))]), DEFAULT, EmptyModule),  # S/I is zero
+             # I's 2201 points pass the poset cap before S/I's 2101^2 cells pass the grid cap
+             (_gens(("x", "y"), "x^2100*y^1000", "x^1000*y^2100"), Config(poset_cap=2200),
+              (LimitExceeded, "characteristic poset exceeds cap 2200"))]
+    for gens in (_gens(vs, "x*y", "y^2*z", "z^3"), _gens(vs, "x^2", "y^3", "z*y")):
+        sizes = sorted(characteristic_poset(make(gens)).size for make in (ideal_pair, quotient_ring_pair))
+        assert sizes[0] < sizes[1]
+        cases += [(gens, Config(poset_cap=c), LimitExceeded) for c in (sizes[0] - 1, sizes[1] - 1)]
+        cases.append((gens, Config(poset_cap=sizes[1]), None))
+    real = sdepth_module._ordered
+
+    def refuse(*args):
+        raise AssertionError("a box was built past a limit")
+
+    wants = [_each_pair(gens, config) for gens, config, _ in cases]
+    for (gens, config, error), want in zip(cases, wants):
+        if error is None:
+            assert all(isinstance(v, int) for v in want)
+        elif isinstance(error, tuple):
+            assert want == error
+        else:
+            assert want[0] is error
+        monkeypatch.setattr(sdepth_module, "_ordered", real if error is None else refuse)
+        assert _census_path(gens, config) == want
