@@ -273,12 +273,15 @@ def _thresholds(points):
     return out
 
 
-def _interval_masks(points):
-    """up[i], down[i]: bitmasks of the points componentwise above and below point i."""
+def _interval_masks(points, thresholds=None):
+    """up[i], down[i]: bitmasks of the points componentwise above and below
+    point i, read off _thresholds(points) (or the thresholds given)."""
     n = len(points)
     up = [(1 << n) - 1] * n
     down = list(up)
-    for coord, (at_most, at_least) in zip(zip(*points), _thresholds(points)):
+    if thresholds is None:
+        thresholds = _thresholds(points)
+    for coord, (at_most, at_least) in zip(zip(*points), thresholds):
         for i, v in enumerate(coord):
             up[i] &= at_least[v]
             down[i] &= at_most[v]

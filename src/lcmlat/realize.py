@@ -9,16 +9,25 @@ weight map.  Each exponent is a masked count: per variable and exponent
 value v, the mask of the elements whose weight carries v there, less the
 up-set of M, counts v times.  Both halves of that round trip are checked
 here, on the generators themselves and element for element: they are
-distinct, the lcm of each incomparable pair is one of them, they divide each
-other exactly as the order says, and their bottom and standard weights are
-the given ones.  That is all a rebuilt lcm-semilattice could show, so none
-is built.  A passed round trip shows the weighting realizable, so realize
-tests the conditions only when it fails, to name the broken one.
+distinct, they divide each other exactly as the order says, they are closed
+under lcm, and their bottom and standard weights are the given ones.  That
+is all a rebuilt lcm-semilattice could show, so none is built.  A passed
+round trip shows the weighting realizable, so realize tests the conditions
+only when it fails, to name the broken one.
+
+Lcm closure is tested per variable, on the at-most masks the order test has
+already built, not pair by pair.  Once divisibility matches the order, each
+exponent map x -> e_j(x) is monotone, and the family is lcm-closed exactly
+when each of these maps sends joins to max.  A monotone map does so exactly
+when each set {x : e_j(x) <= v} is closed under joins, and a join-closed
+down-set of a finite semilattice is the down-set of its own join: it is
+principal.  So the family is lcm-closed exactly when every at-most mask of
+every variable is the lower mask of some element.
 """
 
 from .config import DEFAULT, Config
 from .errors import InternalError, InvalidInput, InvalidWeighting, NotAntichain
-from .lattice import Semilattice, _bits
+from .lattice import Semilattice
 from .monomials import (
     GeneratorSet,
     Monomial,
@@ -27,6 +36,7 @@ from .monomials import (
     _interval_masks,
     _realized,
     _standard_weights,
+    _thresholds,
     m_coprime,
     union_generators,
     weight_map,
@@ -87,20 +97,18 @@ def _check_roundtrip(w, gens):
     with w's weights: the four conditions of the module docstring."""
     lat = w.lattice
     labeling = gens.gens
-    members = set(labeling)
-    if len(members) != lat.n:
+    if len(set(labeling)) != lat.n:
         raise InternalError("realized monomials collide or miss the lcm-lattice")
-    up, down = _interval_masks(labeling)  # divisibility is the componentwise order
-    everything = (1 << lat.n) - 1
-    for a, ma in enumerate(labeling):
-        # a comparable pair's lcm is one of the pair: only incomparable pairs,
-        # each once; the lcms are plain tuples, which hash and compare as monomials
-        partners = _bits(everything >> a << a & ~(up[a] | down[a]))
-        if not members.issuperset([tuple(map(max, ma, labeling[b])) for b in partners]):
-            raise InternalError("realized monomials collide or miss the lcm-lattice")
+    thresholds = _thresholds(labeling)
+    up, _ = _interval_masks(labeling, thresholds)  # divisibility is the componentwise order
     if tuple(up) != lat.upper_masks:
         raise InternalError("divisibility of the realization differs from the order")
-    if gens.gcd_of_gens() != w.bottom or _standard_weights(labeling, up) != tuple(w.weights):
+    # with the order right, lcm-closed means every at-most mask is principal
+    lowers = set(lat.lower_masks)
+    if not all(m in lowers for at_most, _ in thresholds for m in at_most.values()):
+        raise InternalError("realized monomials collide or miss the lcm-lattice")
+    gcd = tuple(map(min, zip(*labeling)))
+    if gcd != w.bottom or _standard_weights(labeling, up) != tuple(w.weights):
         raise InternalError("weights do not survive the round trip")
 
 

@@ -371,7 +371,9 @@ def _hilbert_cap(poset):
     (Bruns-Krattenthaler-Uliczka): one interval [a, b] with |b| >= d adds
     C(|b|-|a|+k-d-1, k-|a|) >= 0 to the coefficient of t^k, by Vandermonde.
     Summed interval by interval, H up to degree d is S / (1-t)^(n-D) for the
-    polynomial S = sum_c t^|c| (1-t)^(n - cc(c)).  The coefficients for
+    polynomial S = sum_c t^|c| (1-t)^(n - cc(c)), built by Horner's rule in
+    (1-t) from the rows of points by ceiling count: S = sum_r rows[r]
+    (1-t)^(n-r), so n passes, each one product by (1-t).  The coefficients for
     d - 1 are partial sums of those for d, so the passing depths are an
     initial segment; D runs down from n, one prefix sum a step, to the first
     that passes.
@@ -381,11 +383,9 @@ def _hilbert_cap(poset):
     rows = [[0] * (total + 1) for _ in range(n + 1)]
     for p, r in zip(poset.points, poset.ceiling_counts):
         rows[r][sum(p)] += 1
-    h = [0] * (total + 1)
-    for r, row in enumerate(rows):
-        for _ in range(n - r):
-            row = [a - b for a, b in zip(row, [0] + row)]
-        h = [a + b for a, b in zip(h, row)]
+    h = rows[0]
+    for row in rows[1:]:  # Horner's rule in (1-t): h = h (1-t) + row
+        h = [a - b + c for a, b, c in zip(h, [0] + h, row)]
     depth = n
     while min(h[:total - n + depth + 1]) < 0:  # h[0] counts points, so d = 0 passes
         depth -= 1
@@ -543,9 +543,12 @@ def verify_decomposition(poset: CharacteristicPoset, intervals):
     value = None
     for a, b in intervals:
         a, b = tuple(a), tuple(b)
-        if any(map(gt, a, b)):
+        if a == b:  # a singleton: no product to build
+            cell = {a}
+        elif any(map(gt, a, b)):
             return False, None
-        cell = set(product(*map(range, a, [y + 1 for y in b])))
+        else:
+            cell = set(product(*map(range, a, [y + 1 for y in b])))
         if not cell <= rest:  # a point outside the poset, or covered twice
             return False, None
         rest -= cell

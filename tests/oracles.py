@@ -7,8 +7,10 @@ Betti numbers come from the full, unblocked Taylor complex or from the
 order complexes of lcm-lattice intervals, Lyubeznik faces and census
 families are produced by filtering the full powerset, associated primes come
 from a grid scan of colon ideals, and lcm closures and standard weights are
-taken on plain exponent tuples, pair by pair.  Results are compared against the
-fast implementations and frozen where the suite needs literal constants.
+taken on plain exponent tuples, pair by pair, and interval partitions are
+checked by listing every cell of every interval.  Results are compared
+against the fast implementations and frozen where the suite needs literal
+constants.
 """
 
 from fractions import Fraction
@@ -435,6 +437,33 @@ def lcm_closure(monos):
         if not fresh:
             return closed
         closed |= fresh
+
+
+def realization_conditions(monos, leq):
+    """(distinct, lcm_closed, ordered) for exponent tuples labelling the
+    elements of an order leq: no tuple repeats, the lcm of every pair of
+    tuples is one of them, and monos[i] divides monos[j] exactly when
+    leq[i][j]."""
+    tuples = [tuple(m) for m in monos]
+    members = set(tuples)
+    return (len(members) == len(tuples),
+            all(tuple(map(max, a, b)) in members for a in tuples for b in tuples),
+            divisibility_matrix(tuples) == leq)
+
+
+def tiling_by_definition(points, ceiling, intervals):
+    """(ok, value): ok when the boxes {c : a <= c <= b} of the (a, b) pairs,
+    each enumerated cell by cell, are disjoint and their union is exactly the
+    point set; value is then the least, over the tops b, of the number of
+    coordinates where b meets the ceiling."""
+    covered = []
+    for a, b in intervals:
+        covered += product(*(range(x, y + 1) for x, y in zip(a, b)))
+    if any(x > y for a, b in intervals for x, y in zip(a, b)) \
+            or sorted(covered) != sorted(set(points)):  # a repeat makes covered longer
+        return False, None
+    return True, min((sum(x == c for x, c in zip(b, ceiling)) for _, b in intervals),
+                     default=None)
 
 
 def standard_weights(monos):

@@ -31,7 +31,8 @@ from lcmlat import (
 )
 from lcmlat.realize import _check_roundtrip
 
-from oracles import divisibility_matrix, lcm_closure, standard_weights, width_by_search
+from oracles import (divisibility_matrix, lcm_closure, realization_conditions, standard_weights,
+                     width_by_search)
 
 
 def test_validate_weighting_conditions():
@@ -165,6 +166,59 @@ def test_roundtrip_check_accepts_the_realization():
 def test_roundtrip_check_rejects_forged_realizations(forgery, message):
     with pytest.raises(InternalError, match=message):
         _check_roundtrip(*forgery)
+
+
+def test_roundtrip_check_names_the_order_before_lcm_closure():
+    # y, x, x^2 on B2: x divides the top x^2 while y does not, and the atoms'
+    # lcm xy is missing; the order is tested first, so it is the one named
+    w, gens = _b2_forgery(gens=((0, 1), (1, 0), (2, 0)))
+    with pytest.raises(InternalError, match="divisibility"):
+        _check_roundtrip(w, gens)
+
+
+def _nudged(gens, rng):
+    """The exponent tuples with one or two exponents moved by one, none below 0."""
+    rows = [list(m) for m in gens]
+    for _ in range(rng.randint(1, 2)):
+        row = rng.choice(rows)
+        j = rng.randrange(len(row))
+        row[j] += 1 if row[j] == 0 or rng.random() < 0.5 else -1
+    return [tuple(r) for r in rows]
+
+
+def test_roundtrip_check_matches_pairwise_lcm_closure(rng):
+    # the round trip tests lcm closure one variable at a time, on at-most
+    # masks; the oracle tests the lcm of every pair.  The forged weighting
+    # carries the nudged tuples' own bottom and standard weights, so only the
+    # order conditions can fail, and the message names the first that does
+    from lcmlat import random_weighting
+
+    seen = set()
+    for lat in _small_lattices():
+        leq = lat.leq.tolist()
+        for w in (chain_weighting(lat), canonical_weighting(lat), random_weighting(lat, rng)):
+            if not w.variables:
+                continue
+            real = realize(w).gens
+            for _ in range(8):
+                gens = _nudged(real, rng)
+                distinct, closed, ordered = realization_conditions(gens, leq)
+                bottom, weights = standard_weights(gens)
+                forged = Weighting(lat, w.variables, Monomial(bottom),
+                                   tuple(map(Monomial, weights)))
+                want = ("accepted" if distinct and closed and ordered else
+                        "collide" if not distinct else
+                        "divisibility" if not ordered else "miss the lcm-lattice")
+                try:
+                    _check_roundtrip(forged, GeneratorSet(w.variables, gens))
+                    got = "accepted"
+                except InternalError as err:
+                    got = str(err)
+                assert want in got, (lat.n, gens)
+                seen.add((want, closed))
+    # every verdict occurs, and the order is named also where closure fails too
+    assert seen >= {("accepted", True), ("divisibility", True), ("divisibility", False),
+                    ("miss the lcm-lattice", False)}
 
 
 def _small_lattices():

@@ -30,7 +30,8 @@ from lcmlat import sdepth as sdepth_module
 from lcmlat.config import DEFAULT, Config
 
 from oracles import (box_cells, box_points, brute_sdepth_pair, first_found_cover,
-                     first_found_witness, order_masks_by_definition, polarized_hilbert_cap)
+                     first_found_witness, order_masks_by_definition, polarized_hilbert_cap,
+                     tiling_by_definition)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -339,6 +340,38 @@ def test_verify_accepts_optimal_tiling():
     pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x", "y")))
     ok, value = verify_decomposition(pos, [((1, 0), (1, 1)), ((0, 1), (0, 1))])
     assert ok and value == 1
+
+
+@pytest.mark.parametrize("intervals, ok", [
+    ([((0, 0), (0, 0)), ((1, 0), (1, 1)), ((0, 1), (0, 1))], False),
+    ([((0, 1), (0, 1)), ((0, 1), (0, 1)), ((1, 0), (1, 1))], False),
+    ([((1, 0), (1, 1)), ((1, 1), (1, 1)), ((0, 1), (0, 1))], False),
+    ([((1, 0), (1, 0)), ((1, 1), (1, 1)), ((0, 1), (0, 1))], True),
+], ids=["singleton outside", "singleton twice", "singleton inside an interval",
+        "singletons only"])
+def test_verify_singletons_match_definition(intervals, ok):
+    # (x, y) has the points x, y, xy in the box up to xy
+    pos = characteristic_poset(ideal_pair(_gens(("x", "y"), "x", "y")))
+    got = verify_decomposition(pos, intervals)
+    assert got == tiling_by_definition(pos.points, pos.ceiling, intervals)
+    assert got[0] == ok
+
+
+def test_verify_singleton_witnesses_match_definition(rng):
+    # every point alone (value: the least ceiling count), then one point
+    # repeated, one dropped, or one point off the poset added
+    for pair in _small_pairs(rng):
+        pos = characteristic_poset(pair)
+        singles = [(p, p) for p in pos.points]
+        rng.shuffle(singles)
+        outside = next(c for c in product(*(range(e + 2) for e in pos.ceiling))
+                       if c not in set(pos.points))
+        for intervals in (singles, singles + singles[:1], singles[1:],
+                          singles + [(outside, outside)]):
+            got = verify_decomposition(pos, intervals)
+            assert got == tiling_by_definition(pos.points, pos.ceiling, intervals)
+        assert verify_decomposition(pos, singles) == (
+            True, min((pos.ceiling_count(p) for p in pos.points), default=None))
 
 
 # ---------------- the value path ----------------
