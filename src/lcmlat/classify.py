@@ -11,8 +11,10 @@ Each class is measured on a monomial realization: projective dimension and
 Stanley projective dimension of both the ideal and its quotient ring.  These
 depend on the lcm-lattice alone, so the narrowest realization, one variable
 per chain of meet-irreducibles, serves.  The Stanley depths of I and S/I
-are decided on one box [0, g] of that realization, whose order masks are
-cached by g: the 5-atom census meets 528 shapes of box over 7443 classes."""
+are decided on the box [gcd, g] of that realization, whose order masks are
+cached by (gcd, g).  On the chain realizations of every class up to 5 atoms
+the gcd is 1, so I and S/I share one box [0, g]: the 5-atom census meets
+528 shapes of box over 7443 classes."""
 
 import random
 from dataclasses import asdict, dataclass, replace

@@ -39,39 +39,32 @@ also runs a level-exact search (tops at the target level only) in alternating
 slices with it and takes the first answer, and caps the targets of I and S/I
 by the Hilbert caps of their colons by one variable.
 
-The box cells are bitsets in mixed radix, from the gcd of I's generators
-(which every point lies above) to g, and the point set is the union of the
-generators' up-sets in I less those in J.  Point sets of the search are
-integer bitsets over the sorted points.  Per coordinate j and value v,
-threshold masks hold the points with p[j] >= v and those with p[j] <= v; the
-points above (below) p are the AND over j of the thresholds at p[j].  Level
-masks hold the points of each ceiling count, so the tops are walked level by
-level from the highest down, lowest index first.  No interval bottomed at a
-point tops out above the highest level over it, so the targets stop at the
-highest level whose points' down-sets, ORed from the top level down, cover
-the poset.
-
-The census measures I and S/I of one generator set at once (sdepth_values).
-Their points split one box [0, g] (I's own box starts at the gcd, but holds
-no point below it): I's points are the up-sets of its generators, an up-set
-of the box, and S/I's the rest, a down-set.  Both are convex in the box, so
-the search runs on the order masks of all its cells, restricted to one side,
-and each side's points keep their relative (degree, lex) order there: the
-frames and the value are those of the side's own poset.  The boxes, with
-their cells, order masks and levels, are kept by g in a least-recently-used
-cache of at most _BOX_CACHE_CELLS cells in all, since the census meets few
-shapes of box; a larger box is built and not kept.  A box with more cells
-than the poset cap or the grid cap is not built at all: each side then runs
-on its own poset, both posets built first, so the limits are met as the two
-pairs meet them, I first, before any order mask is built.
+Each entry point sets up its search first.  With g the lcm of all
+generators and low the gcd of I's, the points are the cells of the box
+[low, g] above a generator of I and above none of J.  They are convex in the
+box and keep their (degree, lex) order there, so the search runs on the
+order masks of the box's cells restricted to the mask `full` of the points,
+with the frames, witness and value of the points alone.  A box of at most
+min(poset_cap, _BOX_CACHE_CELLS) cells meets no limit; its cells, order
+masks and levels are kept by (low, g) in a least-recently-used cache of at
+most _BOX_CACHE_CELLS cells in all.  A larger box may hold few points:
+characteristic_poset finds them as mixed-radix bitsets of the cells, meeting
+the grid and poset caps, and the masks are built over them alone.  The setup
+meets every limit before it returns the builder of the masks, so
+sdepth_values meets those of I, then of S/I, before it builds either box.
+The points above (below) p are the AND over j of threshold masks, the
+points whose coordinate j is at least (at most) p[j].  Level masks hold the
+points of each ceiling count, so the tops are walked from the highest level
+down, lowest index first, and the targets stop at the highest level whose
+points' down-sets cover the poset.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate, compress, product
 from math import inf, prod
-from operator import eq, gt
+from operator import eq, gt, or_
 
 from .config import DEFAULT, Config
 from .errors import InternalError, LimitExceeded
@@ -194,29 +187,28 @@ def _flags(mask, n):
 
 
 class _BoxCache:
-    """The boxes [0, g] by g, least recently used first, holding at most
-    _BOX_CACHE_CELLS cells in all; a box with more is built and not kept."""
+    """The boxes [low, g] by (low, g), least recently used first, holding at
+    most _BOX_CACHE_CELLS cells in all; no box handed to it has more."""
 
     def __init__(self):
         self.boxes = OrderedDict()
         self.cells = self.hits = self.misses = 0
 
-    def __call__(self, g):
-        box = self.boxes.get(g)
+    def __call__(self, low, g):
+        key = low, g
+        box = self.boxes.get(key)
         if box is not None:
             self.hits += 1
-            self.boxes.move_to_end(g)
+            self.boxes.move_to_end(key)
             return box
         self.misses += 1
         # product yields the cells in lex order, and the sort by degree is stable
-        cells = tuple(sorted(product(*(range(e + 1) for e in g)), key=sum))
+        cells = tuple(sorted(product(*map(range, low, [e + 1 for e in g])), key=sum))
         box = _ordered(cells, tuple(sum(map(eq, c, g)) for c in cells), len(g))
-        size = len(cells)
-        if size <= _BOX_CACHE_CELLS:
-            while self.cells + size > _BOX_CACHE_CELLS:
-                self.cells -= len(self.boxes.popitem(last=False)[1].points)
-            self.boxes[g] = box
-            self.cells += size
+        while self.cells + len(cells) > _BOX_CACHE_CELLS:
+            self.cells -= len(self.boxes.popitem(last=False)[1].points)
+        self.boxes[key] = box
+        self.cells += len(cells)
         return box
 
 
@@ -485,16 +477,38 @@ def _decide(pair, poset, box, full, config, budget, race):
     return value, intervals
 
 
-def _own_box(poset):
-    """The poset, its order masks over its own points, and the mask of all of them."""
-    box = _ordered(poset.points, poset.ceiling_counts, len(poset.ceiling))
-    return poset, box, (1 << poset.size) - 1
+def _setup(pair, config, g=None):
+    """A builder of (poset, box, full), the pair's poset, a _Box holding its
+    points and their mask there (see the module docstring), with every limit
+    met first.  The pair is minimalized and g is the lcm of its generators,
+    unless g is given for a pair that is minimal already."""
+    if g is None:
+        pair = pair.minimalize()
+        g = union_generators(pair).lcm()
+    pair.require_proper()
+    low = pair.i.gcd_of_gens()
+    if prod(e - d + 1 for e, d in zip(g, low)) > min(config.poset_cap, _BOX_CACHE_CELLS):
+        poset = characteristic_poset(pair, config)
+        return lambda: (poset, _ordered(poset.points, poset.ceiling_counts, len(g)),
+                        (1 << poset.size) - 1)
+
+    def build():
+        box = _boxes(low, g)
+        inside, outside = (reduce(or_, [box.up[box.index[m]] for m in side.gens], 0)
+                           for side in (pair.i, pair.j))
+        full = inside & ~outside
+        flags = _flags(full, len(box.points))
+        poset = CharacteristicPoset(pair.variables, tuple(g), tuple(compress(box.points, flags)),
+                                    tuple(compress(box.counts, flags)))
+        return poset, box, full
+
+    return build
 
 
 def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> SdepthReport:
     """Exact Stanley depth, its complement, and the first optimal interval
     partition the cover search finds, run alone; see _decide for `budget`."""
-    poset, box, full = _own_box(characteristic_poset(pair, config))
+    poset, box, full = _setup(pair, config)()
     value, witness = _decide(pair, poset, box, full, config, budget, race=False)
     nvars = len(poset.variables)
     return SdepthReport(value, nvars - value, nvars, poset.ceiling, poset.size, witness)
@@ -503,38 +517,19 @@ def sdepth_solve(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> Sd
 def sdepth_value(pair: QuotientPair, config: Config = DEFAULT, budget=inf) -> int:
     """Exact Stanley depth alone, each target raced by two searches and
     checked against the colon cap; see _decide for `budget`."""
-    return _decide(pair, *_own_box(characteristic_poset(pair, config)), config, budget, race=True)[0]
+    return _decide(pair, *_setup(pair, config)(), config, budget, race=True)[0]
 
 
 def sdepth_values(gens: GeneratorSet, config: Config = DEFAULT):
     """(sdepth I, sdepth S/I) of the ideal the generators span, each decided
-    as sdepth_value decides it, on the one cached box [0, g]: the points of I
-    are the up-sets of its minimal generators, those of S/I the rest.  Limits
-    are those of the two pairs' own posets, I first, and are met before any
-    order mask is built."""
+    as sdepth_value decides it.  Both pairs are set up, so their limits are
+    met, I first, before either box is built."""
     slim = gens.minimalize()
+    g = slim.lcm()
     pairs = ideal_pair(slim), quotient_ring_pair(slim)
-    g = tuple(slim.lcm())
-    if prod(e + 1 for e in g) > min(config.poset_cap, _GRID_CAP):
-        # a cap may be reached, and the box would outgrow a side's poset:
-        # both posets are built, and so checked, before either is searched
-        posets = [characteristic_poset(pair, config) for pair in pairs]
-        return tuple(_decide(pair, *_own_box(poset), config, inf, race=True)[0]
-                     for pair, poset in zip(pairs, posets))
-    for pair in pairs:
-        pair.require_proper()
-    box = _boxes(g)
-    inside = 0
-    for m in slim.gens:
-        inside |= box.up[box.index[m]]
-    n = len(box.points)
-    values = []
-    for pair, full in zip(pairs, (inside, ((1 << n) - 1) ^ inside)):
-        flags = _flags(full, n)
-        poset = CharacteristicPoset(slim.variables, g, tuple(compress(box.points, flags)),
-                                    tuple(compress(box.counts, flags)))
-        values.append(_decide(pair, poset, box, full, config, inf, race=True)[0])
-    return tuple(values)
+    builds = [_setup(pair, config, g) for pair in pairs]
+    return tuple(_decide(pair, *build(), config, inf, race=True)[0]
+                 for pair, build in zip(pairs, builds))
 
 
 def verify_decomposition(poset: CharacteristicPoset, intervals):

@@ -71,9 +71,11 @@ def box_points(pair):
     return pts, g
 
 
-def box_cells(g):
-    """Every exponent vector c with 0 <= c <= g, sorted by (degree, exponents)."""
-    return sorted(product(*(range(e + 1) for e in g)), key=lambda c: (sum(c), c))
+def box_cells(g, low=None):
+    """Every exponent vector c with low <= c <= g (low 0 unless given), sorted
+    by (degree, exponents)."""
+    low = low or [0] * len(g)
+    return sorted(product(*(range(d, e + 1) for d, e in zip(low, g))), key=lambda c: (sum(c), c))
 
 
 def order_masks_by_definition(points):

@@ -75,13 +75,37 @@ def test_checks5_pool_digests():
 IDEALS_SDEPTH_SHA256 = "2b4cb015f3f134456a01834462e5487bfda4a21a6fc7a2119dce73fdbcef6864"
 
 
-def test_ideals_pool_sdepth_reports():
+def _ideals_pool_gens():
+    """The generators of every ideals-pool document, in pool order."""
     inputs = _load("inputs")
-    lines = []
-    for entries in inputs.load_pool()["ideals"].values():
-        for entry in entries:
-            gens = gens_from_json(entry["doc"])
-            for pair in (ideal_pair(gens), quotient_ring_pair(gens)):
-                lines.append(json.dumps(sdepth_solve(pair).to_json(), sort_keys=True))
+    return [gens_from_json(entry["doc"])
+            for entries in inputs.load_pool()["ideals"].values() for entry in entries]
+
+
+def _sdepth_lines(gens):
+    """The sorted-key JSON lines of sdepth_solve's reports on I and S/I."""
+    return [json.dumps(sdepth_solve(pair).to_json(), sort_keys=True)
+            for pair in (ideal_pair(gens), quotient_ring_pair(gens))]
+
+
+def test_ideals_pool_sdepth_reports():
+    lines = [line for gens in _ideals_pool_gens() for line in _sdepth_lines(gens)]
     assert len(lines) == 200
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == IDEALS_SDEPTH_SHA256
+
+
+def test_ideals_pool_sdepth_reports_from_a_cold_and_a_warm_box_cache(monkeypatch):
+    # from an empty box cache, then again in reverse document order with the
+    # cache warm: each document's reports are the same, and so is the pin
+    from lcmlat import sdepth
+
+    boxes = sdepth._BoxCache()
+    monkeypatch.setattr(sdepth, "_boxes", boxes)
+    docs = _ideals_pool_gens()
+    cold = [_sdepth_lines(gens) for gens in docs]
+    hits = boxes.hits
+    warm = [_sdepth_lines(gens) for gens in docs[::-1]][::-1]
+    assert warm == cold
+    assert boxes.misses > 0 and boxes.hits > hits
+    lines = [line for pair in cold for line in pair]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == IDEALS_SDEPTH_SHA256

@@ -546,6 +546,19 @@ def test_huge_box_golden_stdout(capsys):
     assert (code, out, err) == (2, "", "limit: search box exceeds 4000000 cells\n")
 
 
+def test_sparse_box_golden_stdout(capsys):
+    # (x^127, y^127) / (x^128, x^127*y, x*y^127, y^128): two points in a box
+    # of 129^2 cells, past the box cache's bound, so its points come from the
+    # bitset grid and no box is cached
+    from lcmlat import sdepth
+
+    misses = sdepth._boxes.misses
+    code, out, err = _run(["sdepth", str(GOLDEN / "sparse_box.json")], capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / "sparse_box.sdepth_pair.json").read_text()
+    assert sdepth._boxes.misses == misses
+
+
 @pytest.mark.parametrize("atoms", ["0", "-1", "-7"])
 def test_classify_rejects_an_atom_count_below_1(capsys, atoms):
     # bad input while parsing the arguments, not a resource limit

@@ -1,7 +1,8 @@
 import json
 import random
-from itertools import product
+from itertools import compress, product
 from operator import add, eq, le
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -411,25 +412,24 @@ def test_value_matches_brute_force_in_single_frame_slices(rng, monkeypatch):
 
 
 def _setup(pair):
-    """(poset, level, up, down, least ceiling count, target cap) of the pair's own search."""
-    poset, box, full = sdepth_module._own_box(characteristic_poset(pair))
-    return (poset, box.level, box.up, box.down, *sdepth_module._target_range(poset, box, full))
+    """(poset, box, full, least ceiling count, target cap) of the pair's search."""
+    poset, box, full = sdepth_module._setup(pair, DEFAULT)()
+    return (poset, box, full, *sdepth_module._target_range(poset, box, full))
 
 
 def test_level_exact_search_decides_each_target(rng):
     # alone, the level-exact search finds a partition exactly up to the
     # Stanley depth, and its partition plus singletons verifies
     for pair in _small_pairs(rng):
-        poset, level, up, down, least, _ = _setup(pair)
-        full = (1 << poset.size) - 1
+        poset, box, full, least, _ = _setup(pair)
         best = brute_sdepth_pair(pair)
-        for target in range(least + 1, len(level)):
+        for target in range(least + 1, len(box.level)):
             found = sdepth_module._first_to_finish(
-                [sdepth_module._level_exact_steps(target, full, up, down, level, 10**6)])
+                [sdepth_module._level_exact_steps(target, full, box.up, box.down, box.level, 10**6)])
             assert (found is not None) == (target <= best)
             if found is not None:
                 ok, value = verify_decomposition(
-                    poset, [(poset.points[a], poset.points[b]) for a, b in found])
+                    poset, [(box.points[a], box.points[b]) for a, b in found])
                 assert ok and value == target
 
 
@@ -437,13 +437,13 @@ def test_search_starts_at_the_least_point_of_its_set():
     # (x, y, z) at depth 2 without its point 0, z: a search that took its
     # first bottom at index 0 could place no interval and would fail
     pair = ideal_pair(_gens(("x", "y", "z"), "x", "y", "z"))
-    poset, level, up, down, _, _ = _setup(pair)
-    rest = (1 << poset.size) - 2
+    poset, box, full, _, _ = _setup(pair)
+    rest = full & (full - 1)
     found = sdepth_module._first_to_finish(
-        [sdepth_module._cover_steps(2, rest, up, down, level, 10**6)])
-    covered = [up[a] & down[b] for a, b in found]
+        [sdepth_module._cover_steps(2, rest, box.up, box.down, box.level, 10**6)])
+    covered = [box.up[a] & box.down[b] for a, b in found]
     assert sum(covered) == rest and all(c & rest == c for c in covered)
-    assert found[0][0] == 1
+    assert box.points[found[0][0]] == poset.points[1]
 
 
 def test_search_on_part_of_the_poset_matches_oracle(rng):
@@ -451,14 +451,16 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
     # point is never taken, and the partition is the first one a plain search finds
     outcomes = set()
     for pair in _small_pairs(rng):
-        poset, level, up, down, _, _ = _setup(pair)
-        full = sum(1 << i for i in range(poset.size) if rng.random() < 0.8)
-        if not full or full == (1 << poset.size) - 1:
+        poset, box, full, _, _ = _setup(pair)
+        up, down = box.up, box.down
+        points = [i for i in range(len(box.points)) if full >> i & 1]
+        part = sum(1 << i for i in points if rng.random() < 0.8)
+        if not part or part == full:
             continue
-        keep = [p for i, p in enumerate(poset.points) if full >> i & 1]
-        for target in range(1, len(level)):
+        keep = [box.points[i] for i in points if part >> i & 1]
+        for target in range(1, len(box.level)):
             found = sdepth_module._first_to_finish(
-                [sdepth_module._cover_steps(target, full, up, down, level, 10**6)])
+                [sdepth_module._cover_steps(target, part, up, down, box.level, 10**6)])
             expected = first_found_cover(poset.points, poset.ceiling, target, keep)
             outcomes.add(found is None)
             if found is None:
@@ -467,10 +469,10 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
             covered = 0
             for a, b in found:
                 cover = up[a] & down[b]
-                assert cover & full == cover and not cover & covered
+                assert cover & part == cover and not cover & covered
                 covered |= cover
-            assert covered == full
-            assert [(poset.points[a], poset.points[b]) for a, b in found] == expected
+            assert covered == part
+            assert [(box.points[a], box.points[b]) for a, b in found] == expected
     assert outcomes == {True, False}
 
 
@@ -640,7 +642,7 @@ def test_target_cap_is_the_least_highest_count_above_a_point(rng, monkeypatch):
         pts, g = box_points(pair)
         count = {q: sum(a == b for a, b in zip(q, g)) for q in pts}
         want = min(max(count[q] for q in pts if all(map(le, p, q))) for p in pts)
-        assert _setup(pair)[5] == want
+        assert _setup(pair)[4] == want
         caps.add(want)
     assert len(caps) > 2
 
@@ -724,6 +726,78 @@ def test_census_path_matches_each_pair_on_gapped_generators(drawn):
     assert sdepth_values(gens) == _each_pair(gens)
 
 
+def _on_both_paths(pair):
+    """sdepth_solve's report, witness included, and sdepth_value, as shipped
+    and with _BOX_CACHE_CELLS at 0, which sends every box to the own poset;
+    only the first touches the box cache."""
+    got = []
+    for cells in (sdepth_module._BOX_CACHE_CELLS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdepth_module, "_BOX_CACHE_CELLS", cells)
+            cache = sdepth_module._boxes
+            before = cache.hits + cache.misses
+            got.append((sdepth_solve(pair).to_json(), sdepth_value(pair)))
+            assert (cache.hits + cache.misses > before) == (cells > 0)
+    return got
+
+
+def _gapped(pair):
+    """Some variable skips an exponent between I's gcd and g in every generator."""
+    from lcmlat import union_generators
+
+    pair = pair.minimalize()
+    gens = union_generators(pair)
+    low, g = pair.i.gcd_of_gens(), gens.lcm()
+    return any(set(range(low[j], g[j] + 1)) - {m[j] for m in gens.gens} for j in range(len(g)))
+
+
+def test_cached_box_and_own_poset_agree_on_random_pairs(rng):
+    # random proper pairs with J != 0, shifted by a common factor d != 1
+    from conftest import random_proper_pair
+
+    gapped = 0
+    for _ in range(40):
+        pair = random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=3)
+        while not pair.j.gens:
+            pair = random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=3)
+        d = Monomial([rng.randint(1, 2)] + [rng.randint(0, 2) for _ in pair.variables[1:]])
+        pair = QuotientPair(*(GeneratorSet(pair.variables, [m.mul(d) for m in side.gens])
+                              for side in (pair.i, pair.j)))
+        cached, own = _on_both_paths(pair)
+        assert cached == own
+        gapped += _gapped(pair)
+    assert gapped > 10
+
+
+_gapped_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
+        st.lists(st.lists(st.sampled_from((0, 1, 3)), min_size=n, max_size=n),
+                 min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2),
+                           st.lists(st.sampled_from((0, 1, 3)), min_size=n, max_size=n)),
+                 min_size=1, max_size=3),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gapped_pairs)
+def test_cached_box_and_own_poset_agree_on_gapped_pairs(drawn):
+    # I's generators d + v with d != 1 and v from {0, 1, 3}; J's generators
+    # are multiples of them by exponents from {0, 1, 3}
+    from hypothesis import assume
+
+    gcd, shifts, multiples = drawn
+    names = tuple(f"x{j}" for j in range(len(gcd)))
+    i = GeneratorSet(names, [Monomial(map(add, gcd, v)) for v in shifts]).minimalize()
+    j = GeneratorSet(names, [i.gens[k % len(i)].mul(Monomial(w)) for k, w in multiples])
+    pair = QuotientPair(i, j)
+    assume(pair.is_proper())
+    cached, own = _on_both_paths(pair)
+    assert cached == own
+
+
 # the frames the searches of both sides push in one-frame slices, on the
 # 4-atom classes whose searches push the most
 _CLASS_FRAMES = {("A4;1,2,3,4,5,6,7,8,9,a,c,f", "canonical"): 117,
@@ -768,10 +842,10 @@ def boxes(monkeypatch):
     return fresh
 
 
-def _assert_box_of(box, g):
-    # the cells of [0, g] in (degree, lex) order, their order masks by
+def _assert_box_of(box, low, g):
+    # the cells of [low, g] in (degree, lex) order, their order masks by
     # definition and by _interval_masks, and their ceiling levels
-    cells = box_cells(g)
+    cells = box_cells(g, low)
     assert list(box.points) == cells
     assert (box.up, box.down) == order_masks_by_definition(cells)
     assert (box.up, box.down) == sdepth_module._interval_masks(box.points)
@@ -780,46 +854,88 @@ def _assert_box_of(box, g):
     assert box.level == levels
 
 
+def _at_zero(g):
+    """The key (low, g) of the box [0, g]."""
+    return (0,) * len(g), g
+
+
 def test_cached_box_masks_match_definition(boxes):
-    # each shape comes before or after a reordering of its variables
-    shapes = [(1, 2), (2, 1), (0, 3, 1), (1, 3, 0), (3, 0, 1), (2, 1, 1), (1, 1, 2), (0,), ()]
-    for g in shapes:
-        box = sdepth_module._boxes(g)
-        _assert_box_of(box, g)
-        assert sdepth_module._boxes(g) is box
+    # each shape comes before or after a reordering of its variables, and a
+    # box that starts above 0 is not the box [0, g - low]
+    shapes = [_at_zero(g) for g in [(1, 2), (2, 1), (0, 3, 1), (1, 3, 0), (3, 0, 1), (2, 1, 1),
+                                    (1, 1, 2), (0,), ()]]
+    shapes += [((1, 0), (2, 2)), ((0, 1), (1, 3)), ((1, 0, 2), (1, 3, 3)), ((2,), (2,))]
+    for low, g in shapes:
+        box = sdepth_module._boxes(low, g)
+        _assert_box_of(box, low, g)
+        assert sdepth_module._boxes(low, g) is box
     assert (boxes.misses, boxes.hits) == (len(shapes), len(shapes))
     assert list(boxes.boxes) == shapes
 
 
 def test_box_cache_stays_within_its_bound(boxes, monkeypatch):
     monkeypatch.setattr(sdepth_module, "_BOX_CACHE_CELLS", 40)
-    shapes = [g for n in (1, 2, 3) for g in product(range(4), repeat=n)]
-    for g in shapes + shapes[::-1]:
-        box = sdepth_module._boxes(g)
-        _assert_box_of(box, g)
+    shapes = [_at_zero(g) for n in (1, 2, 3) for g in product(range(4), repeat=n)
+              if prod(e + 1 for e in g) <= 40]
+    shapes += [((1,) * n, g) for n in (2, 3) for g in product(range(1, 5), repeat=n)
+               if prod(g) <= 40]
+    for low, g in shapes + shapes[::-1]:
+        box = sdepth_module._boxes(low, g)
+        _assert_box_of(box, low, g)
         held = [len(kept.points) for kept in boxes.boxes.values()]
         assert boxes.cells == sum(held) <= 40
-        assert (list(boxes.boxes)[-1] == g) == (len(box.points) <= 40)
+        assert list(boxes.boxes)[-1] == (low, g)
     assert boxes.hits > 0
     # the least recently used box goes first, not the first one kept
-    for g in ((0, 3, 3), (3, 3, 0), (1, 2), (2, 1)):
-        _assert_box_of(sdepth_module._boxes(g), g)
-    assert (0, 3, 3) not in boxes.boxes
-    for g in ((3, 3, 0), (0, 3, 3)):
-        _assert_box_of(sdepth_module._boxes(g), g)
-    assert list(boxes.boxes) == [(2, 1), (3, 3, 0), (0, 3, 3)]
+    keys = [_at_zero((0, 3, 3)), _at_zero((3, 3, 0)), _at_zero((1, 2)), ((1, 1), (2, 3))]
+    for low, g in keys:
+        _assert_box_of(sdepth_module._boxes(low, g), low, g)
+    assert keys[0] not in boxes.boxes
+    for low, g in keys[1::-1]:
+        _assert_box_of(sdepth_module._boxes(low, g), low, g)
+    assert list(boxes.boxes) == [keys[3], keys[1], keys[0]]
 
 
-def test_box_larger_than_the_bound_is_not_kept(boxes, monkeypatch):
+def test_box_past_the_bound_takes_the_own_poset_path(boxes, monkeypatch):
+    # past min(poset_cap, _BOX_CACHE_CELLS) cells the points come from
+    # characteristic_poset and the masks are built over them alone; at the
+    # bound the box is cached; either way the report is the same
     monkeypatch.setattr(sdepth_module, "_BOX_CACHE_CELLS", 40)
-    sdepth_module._boxes((1, 2))
-    huge = (3, 10)  # 44 cells
-    _assert_box_of(sdepth_module._boxes(huge), huge)
-    assert list(boxes.boxes) == [(1, 2)] and boxes.cells == 6
-    _assert_box_of(sdepth_module._boxes((2, 1)), (2, 1))
-    full = (4, 1, 3)  # 40 cells: a box of the bound itself is kept
-    _assert_box_of(sdepth_module._boxes(full), full)
-    assert list(boxes.boxes) == [full] and boxes.cells == 40
+    vs = ("x", "y", "z")
+    past = ideal_pair(_gens(("x", "y"), "x^3", "y^10"))  # [0, (3, 10)]: 44 cells
+    at = ideal_pair(_gens(vs, "x^4", "y", "z^3"))  # [0, (4, 1, 3)]: 40 cells
+    shifted = ideal_pair(_gens(vs, "x^5*y*z", "x*y^2*z", "x*y*z^4"))  # [(1, 1, 1), (5, 2, 4)]: 40
+    for pair, config in [(past, DEFAULT), (at, Config(poset_cap=39)), (shifted, Config(poset_cap=39))]:
+        poset, box, full = sdepth_module._setup(pair, config)()
+        assert box.points == poset.points == characteristic_poset(pair).points
+        assert full == (1 << poset.size) - 1
+        assert (box.up, box.down) == order_masks_by_definition(poset.points)
+        assert boxes.misses == 0 and not boxes.boxes
+    for pair, low, g in [(at, (0, 0, 0), (4, 1, 3)), (shifted, (1, 1, 1), (5, 2, 4))]:
+        poset, box, full = sdepth_module._setup(pair, DEFAULT)()
+        assert box is boxes.boxes[low, g]
+        assert poset.points == characteristic_poset(pair).points
+        assert poset.points == tuple(compress(box.points, [full >> i & 1 for i in range(40)]))
+    assert boxes.misses == 2 and list(boxes.boxes) == [((1, 1, 1), (5, 2, 4))]  # 40 cells in all
+    for pair in (past, at, shifted):
+        report = sdepth_solve(pair).to_json()
+        monkeypatch.setattr(sdepth_module, "_BOX_CACHE_CELLS", 0)
+        assert sdepth_solve(pair).to_json() == report
+        monkeypatch.setattr(sdepth_module, "_BOX_CACHE_CELLS", 40)
+
+
+def test_census_path_meets_both_limits_before_building_a_box(boxes):
+    # I's box is one cell and meets no limit, but S/I's passes the grid cap,
+    # or holds more points than the poset cap: neither box is built
+    vs = ("x", "y")
+    cases = [(_gens(vs, "x^2000*y^1999"), DEFAULT, "search box exceeds 4000000 cells"),
+             (_gens(vs, "x^5*y^5"), Config(poset_cap=34), "characteristic poset exceeds cap 34")]
+    for gens, config, message in cases:
+        with pytest.raises(LimitExceeded, match=f"^{message}$"):
+            sdepth_values(gens, config)
+        assert boxes.misses == boxes.hits == 0
+    assert sdepth_values(_gens(vs, "x^5*y^5"), Config(poset_cap=35)) == (2, 1)
+    assert boxes.misses == 1 and list(boxes.boxes) == [((5, 5), (5, 5))]
 
 
 def test_census_path_keeps_the_limits_of_each_pair(monkeypatch):
