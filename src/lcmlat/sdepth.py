@@ -25,12 +25,12 @@ the points nearest the last top before the others.  The Hilbert depth
 above, so the search that would fail one level higher is skipped when the
 bound is reached.
 
-A top above a covered point can give no free interval, so the tops of a new
-bottom leave out the up-sets of its minimal covered points above it before
-any interval is built, and a low point's free tops are its uncovered tops
-at the target level less the up-sets of its own minimal covered points
-above it, the lowest index taken.  Neither this nor the level of the
-free-top test changes a frame the search pushes or the partition it finds.
+The search is one loop with no helper.  It reads each new state off one
+non-negative mask, covered = full ^ rest (a negative ~rest costs more in each
+AND).  A top above a covered point gives no free interval, so a low point's
+free tops (the lowest index taken) and a new bottom's tops leave out the
+up-set of each minimal covered point above it: no interval tried needs a
+subset test.  None of this changes a frame pushed or the partition found.
 
 One loop tries the targets in turn, up to the first that fails, under one
 of two policies.  sdepth_solve runs that search alone, so its witness is the
@@ -228,6 +228,12 @@ def _cover_steps(target, full, up, down, level, budget):
     and the tops of that level not yet tried.  Dead and exhausted states go
     to the fail cache.  Pushing more than `budget` frames raises
     LimitExceeded.
+
+    One loop with no helper reads each new state rest off the non-negative
+    covered = full ^ rest; the memo test of a low point p is free[p] & covered.
+    Each top b tried lies in `above`, so [a, b] holds no covered point, nor a
+    cell outside a convex `full` (every caller's is): no subset test is needed.
+    Elsewhere such a cell joins rest and covered both, and its branch fails.
     """
     high = 0
     for m in level[target:]:
@@ -236,29 +242,6 @@ def _cover_steps(target, full, up, down, level, budget):
     exact = level[target]  # a free top higher than this drops to it
     free = [-1] * len(up)  # the last free interval above each low point; -1: none
     fail = set()
-
-    def blocked(inside):
-        """The points above some point of `inside`, one up-set per minimal point."""
-        found = 0
-        while inside:
-            x = up[(inside & -inside).bit_length() - 1]
-            found |= x
-            inside &= ~x
-        return found
-
-    def dead(rest, b):
-        short = down[b] & rest & low
-        while short:  # nearest the new cover first
-            p = short.bit_length() - 1
-            short ^= 1 << p
-            if free[p] & ~rest == 0:
-                continue
-            tops = up[p] & rest & exact & ~blocked(up[p] & ~rest)  # none above a covered point
-            if not tops:
-                return True
-            free[p] = up[p] & down[(tops & -tops).bit_length() - 1]
-        return False
-
     top = len(level) - 1
     chosen = []
     frames = []  # (uncovered, a, above, r, pending) of each open choice
@@ -284,31 +267,48 @@ def _cover_steps(target, full, up, down, level, budget):
         bit = pending & -pending
         pending ^= bit
         b = bit.bit_length() - 1
-        cover = up[a] & down[b]
-        if cover & uncovered != cover:
-            continue
-        rest = uncovered ^ cover
+        rest = uncovered ^ (up[a] & down[b])
         if rest in fail:
             continue
         chosen.append((a, b))
         if not rest:
             return chosen
-        if dead(rest, b):
-            chosen.pop()
-            if len(fail) < _FAIL_CACHE_CAP:
-                fail.add(rest)
-            continue
-        pushed += 1
-        if pushed > budget:
-            raise LimitExceeded("sdepth search exceeds its frame budget")
-        frames.append((uncovered, a, above, r, pending))
-        uncovered = rest
-        a = (rest & -rest).bit_length() - 1
-        above = up[a] & rest & ~blocked(up[a] & full & ~rest)  # none above a covered point
-        r = top
-        pending = above & level[r]
-        if not pushed % _SLICE:
-            yield
+        covered = full ^ rest
+        short = down[b] & rest & low
+        while short:  # nearest the new cover first; dead if one has no free top
+            p = short.bit_length() - 1
+            short ^= 1 << p
+            if not free[p] & covered:
+                continue
+            tops = up[p] & rest & exact
+            inside = up[p] & covered
+            while inside and tops:  # none above a covered point
+                x = up[(inside & -inside).bit_length() - 1]
+                tops ^= tops & x
+                inside ^= inside & x
+            if not tops:
+                chosen.pop()
+                if len(fail) < _FAIL_CACHE_CAP:
+                    fail.add(rest)
+                break
+            free[p] = up[p] & down[(tops & -tops).bit_length() - 1]
+        else:
+            pushed += 1
+            if pushed > budget:
+                raise LimitExceeded("sdepth search exceeds its frame budget")
+            frames.append((uncovered, a, above, r, pending))
+            uncovered = rest
+            a = (rest & -rest).bit_length() - 1
+            above = up[a] & rest
+            inside = up[a] & covered
+            while inside:  # none above a covered point
+                x = up[(inside & -inside).bit_length() - 1]
+                above ^= above & x
+                inside ^= inside & x
+            r = top
+            pending = above & level[r]
+            if not pushed % _SLICE:
+                yield
 
 
 def _level_exact_steps(target, full, up, down, level, budget):

@@ -47,3 +47,27 @@ def random_proper_pair(rng, max_vars=3, max_gens=3, max_exp=2):
 @pytest.fixture
 def rng():
     return random.Random(20260819)
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """A list that gains one entry for each frame a Stanley-depth search
+    pushes, counted in one-frame slices through _first_to_finish."""
+    from lcmlat import sdepth
+
+    real = sdepth._first_to_finish
+    pushed = []
+
+    def counted(search):
+        while True:
+            try:
+                next(search)
+            except StopIteration as end:
+                return end.value
+            pushed.append(1)
+            yield
+
+    monkeypatch.setattr(sdepth, "_SLICE", 1)
+    monkeypatch.setattr(sdepth, "_first_to_finish",
+                        lambda searches, *rest: real([counted(s) for s in searches], *rest))
+    return pushed

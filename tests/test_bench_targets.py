@@ -6,7 +6,8 @@ only other place these names are exercised, so an API change that drops one
 is caught here.  The checks5 workload compares each lattice's invariants with
 a digest recorded in perfbench/pool.json; the same comparison runs here on
 the whole pool.  The Stanley-depth reports of the ideals pool, witnesses
-included, are pinned here by one hash.  The perfbench modules are loaded
+included, are pinned here by one hash, and the frames of their searches by
+another.  The perfbench modules are loaded
 from their files without writing bytecode.
 """
 
@@ -86,6 +87,24 @@ def _sdepth_lines(gens):
     """The sorted-key JSON lines of sdepth_solve's reports on I and S/I."""
     return [json.dumps(sdepth_solve(pair).to_json(), sort_keys=True)
             for pair in (ideal_pair(gens), quotient_ring_pair(gens))]
+
+
+# sha256 of the frames sdepth_solve pushes on I and on S/I of every
+# ideals-pool document, one count a line in pool order, counted in one-frame
+# slices; a prune that drops or adds a frame in any search changes it
+IDEALS_FRAMES_SHA256 = "70b5c9f20bb069c43eab146fcdeca3389a56494454054f0d52bc1e22c82c14c4"
+
+
+def test_ideals_pool_search_frames(frames):
+    counts = []
+    for gens in _ideals_pool_gens():
+        for pair in (ideal_pair(gens), quotient_ring_pair(gens)):
+            before = len(frames)
+            sdepth_solve(pair)
+            counts.append(len(frames) - before)
+    assert len(counts) == 200 and max(counts) == 11272  # a8 #7's I, the deepest
+    text = "\n".join(map(str, counts))
+    assert hashlib.sha256(text.encode()).hexdigest() == IDEALS_FRAMES_SHA256
 
 
 def test_ideals_pool_sdepth_reports():

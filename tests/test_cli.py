@@ -516,7 +516,7 @@ def test_classify_golden_stdout(capsys):
 
 
 @pytest.mark.parametrize("module", ["ideal", "quotient-ring"])
-@pytest.mark.parametrize("name", ["a7_8", "b8_0", "a8_12"])
+@pytest.mark.parametrize("name", ["a7_8", "b8_0", "a8_12", "a8_7"])
 def test_sdepth_golden_stdout(capsys, name, module):
     # ideals-pool documents whose searches backtrack deeply: witness byte for byte
     code, out, err = _run(["sdepth", str(GOLDEN / f"ideal_{name}.json"), "--module", module],

@@ -478,7 +478,7 @@ def test_search_on_part_of_the_poset_matches_oracle(rng):
 
 # the least frame budget each search of sdepth_solve on I needs, on
 # ideals-pool documents whose searches backtrack deeply
-_DEEP_BUDGETS = {"a7_8": 2003, "b8_0": 526, "a8_12": 8572}
+_DEEP_BUDGETS = {"a7_8": 2003, "b8_0": 526, "a8_12": 8572, "a8_7": 11261}
 
 
 @pytest.mark.parametrize("name, need", sorted(_DEEP_BUDGETS.items()))
@@ -501,29 +501,15 @@ def test_deep_search_witness_matches_first_found_oracle(name, module):
 # one-frame slices; a prune that drops or adds a frame changes the count
 # even where the witness survives
 _DEEP_FRAMES = {("a7_8", "ideal"): 2019, ("a8_12", "ideal"): 8588, ("b8_0", "ideal"): 574,
-                ("a7_8", "quotient-ring"): 0, ("a8_12", "quotient-ring"): 0,
-                ("b8_0", "quotient-ring"): 65}
+                ("a8_7", "ideal"): 11272, ("a7_8", "quotient-ring"): 0,
+                ("a8_12", "quotient-ring"): 0, ("b8_0", "quotient-ring"): 65,
+                ("a8_7", "quotient-ring"): 0}
 
 
 @pytest.mark.parametrize("name, module", sorted(_DEEP_FRAMES))
-def test_frames_of_deep_searches(name, module, monkeypatch):
+def test_frames_of_deep_searches(name, module, frames):
     make = {"ideal": ideal_pair, "quotient-ring": quotient_ring_pair}[module]
     pair = make(gens_from_json(json.loads((GOLDEN / f"ideal_{name}.json").read_text())))
-    real = sdepth_module._first_to_finish
-    frames = []
-
-    def counted(search):
-        while True:
-            try:
-                next(search)
-            except StopIteration as end:
-                return end.value
-            frames.append(1)
-            yield
-
-    monkeypatch.setattr(sdepth_module, "_SLICE", 1)
-    monkeypatch.setattr(sdepth_module, "_first_to_finish",
-                        lambda searches, *rest: real([counted(s) for s in searches], *rest))
     golden = json.loads((GOLDEN / f"ideal_{name}.sdepth_{module}.json").read_text())
     assert sdepth_solve(pair).to_json() == golden
     assert len(frames) == _DEEP_FRAMES[name, module]
@@ -807,27 +793,12 @@ _CLASS_FRAMES = {("A4;1,2,3,4,5,6,7,8,9,a,c,f", "canonical"): 117,
 
 
 @pytest.mark.parametrize("key, weighting", sorted(_CLASS_FRAMES))
-def test_census_path_pushes_the_frames_of_each_pair(key, weighting, monkeypatch):
+def test_census_path_pushes_the_frames_of_each_pair(key, weighting, frames):
     from lcmlat import canonical_weighting, chain_weighting, enumerate_atomistic
 
     lat = next(lat for k, lat in enumerate_atomistic(4) if k.decode() == key)
     make = {"chain": chain_weighting, "canonical": canonical_weighting}[weighting]
     gens = realize(make(lat))
-    real = sdepth_module._first_to_finish
-    frames = []
-
-    def counted(search):
-        while True:
-            try:
-                next(search)
-            except StopIteration as end:
-                return end.value
-            frames.append(1)
-            yield
-
-    monkeypatch.setattr(sdepth_module, "_SLICE", 1)
-    monkeypatch.setattr(sdepth_module, "_first_to_finish",
-                        lambda searches, *rest: real([counted(s) for s in searches], *rest))
     values = sdepth_values(gens)
     census = len(frames)
     assert values == _each_pair(gens)
